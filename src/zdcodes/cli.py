@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import config, graphs, ringexpr, suites, tables, trees, zdg
@@ -445,7 +446,7 @@ def cmd_catalog(args) -> int:
             {
                 "slug": slug,
                 "ring": spec.name,
-                "order": int.__mul__(*spec.moduli) if len(spec.moduli) == 2 else _prod(spec.moduli),
+                "order": math.prod(spec.moduli),
                 "exceptional": slug in tables.EXCEPTIONAL_SEVEN,
             }
         )
@@ -456,13 +457,6 @@ def cmd_catalog(args) -> int:
             star = " (exceptional)" if r["exceptional"] else ""
             print(f"  @{r['slug']:26s} {r['ring']} order {r['order']}{star}")
     return 0
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 if __name__ == "__main__":

@@ -1,24 +1,47 @@
 """Immutable simple undirected graphs: generators, metrics and file formats.
 
 Vertices are dense integer indices; optional text labels ride along in a
-sidecar map so solvers never see them.  Adjacency is kept as sorted edge
-list plus per-vertex sets, and as per-vertex bitmasks once a graph is large
-enough that set intersections start to hurt (BITSET_THRESHOLD vertices).
+sidecar map so solvers never see them, and a `LazyLabels` map names a
+vertex only when its label is read.  Adjacency is kept as sorted edge list
+plus per-vertex sets and per-vertex bitmasks.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Mapping
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
-
-BITSET_THRESHOLD = 64
 
 
 class GraphError(ValueError):
     pass
+
+
+class LazyLabels(Mapping):
+    """Read-only labels for vertices 0..n-1, each computed by `name(v)` when
+    it is read rather than when the graph is built."""
+
+    def __init__(self, n: int, name: Callable[[int], str]):
+        self._n = n
+        self._name = name
+
+    def __getitem__(self, v: int) -> str:
+        if v not in self:
+            raise KeyError(v)
+        return self._name(v)
+
+    def __contains__(self, v) -> bool:
+        return isinstance(v, (int, np.integer)) and 0 <= v < self._n
+
+    def __iter__(self):
+        return iter(range(self._n))
+
+    def __len__(self) -> int:
+        return self._n
 
 
 class Graph:
@@ -26,7 +49,7 @@ class Graph:
 
     __slots__ = ("n", "edges", "labels", "name", "__dict__")
 
-    def __init__(self, n: int, edges, labels: dict[int, str] | None = None, name: str = "G"):
+    def __init__(self, n: int, edges, labels: Mapping[int, str] | None = None, name: str = "G"):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         seen = set()
@@ -48,7 +71,9 @@ class Graph:
             bad = [v for v in labels if not (0 <= v < n)]
             if bad:
                 raise GraphError(f"label for unknown vertex {bad[0]}")
-        self.labels = dict(labels) if labels else None
+        if labels and not isinstance(labels, LazyLabels):
+            labels = dict(labels)
+        self.labels = labels or None
         self.name = name
 
     def __eq__(self, other):

@@ -7,9 +7,11 @@ need: Z_n, GF(p^k), univariate quotients Z_m[x]/(f) with f monic, and
 finite products.  Structure-constant ("table") rings live in `tables`.
 
 Op tables are cached below the table-cache cap and recomputed on demand
-above it; structural queries (units, zero divisors, annihilators, local and
-reduced tests) scan in vectorised chunks so they never materialise more
-than a sliver of the full table.
+above it.  Products are computed from their factors: arithmetic gathers each
+factor's cached table, and units, zero divisors, annihilators and the local,
+field and reduced tests follow from the factors' own answers.  Structural
+queries on every other ring scan in vectorised chunks so they never
+materialise more than a sliver of the full table.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class FiniteRing:
         one: int,
         elem_name: Callable[[int], str],
         payload: dict | None = None,
+        factors: Sequence[FiniteRing] = (),
     ):
         if order < 2:
             raise RingError("a ring with 1 != 0 needs at least two elements")
@@ -87,6 +90,7 @@ class FiniteRing:
         self._vec_mul = vec_mul
         self._elem_name = elem_name
         self.payload = payload or {}
+        self.factors = tuple(factors)  # a product's factors, empty otherwise
 
     def __repr__(self):
         return f"FiniteRing({self.name}, order={self.order})"
@@ -149,10 +153,20 @@ class FiniteRing:
         for s in range(0, n, step):
             yield idx[s : s + step], self._mul_rows(idx[s : s + step])
 
+    def zero_products(self, xs: np.ndarray) -> np.ndarray:
+        """Boolean matrix of x*y == 0 over the given elements, both ways."""
+        t = self._cached_mul
+        if t is not None:
+            return t[np.ix_(xs, xs)] == 0
+        return self.vec_mul(xs[:, None], xs[None, :]) == 0
+
     # -- structure ----------------------------------------------------------
 
     @cached_property
     def units(self) -> frozenset[int]:
+        """A product element is a unit exactly when every coordinate is."""
+        if self.factors:
+            return _product_set(self.factors, [f.units for f in self.factors])
         hits: list[int] = []
         for xs, rows in self._mul_row_chunks():
             hits.extend(xs[(rows == self.one).any(axis=1)].tolist())
@@ -160,7 +174,16 @@ class FiniteRing:
 
     @cached_property
     def zero_divisors_nonzero(self) -> frozenset[int]:
-        """Z*(R): nonzero x with xy = 0 for some nonzero y."""
+        """Z*(R): nonzero x with xy = 0 for some nonzero y.  Every element of
+        a finite ring is a unit or a zero divisor, so for a product this is
+        every nonzero non-unit; other rings are scanned.
+        """
+        if self.factors:
+            return frozenset(range(1, self.order)) - self.units
+        return self.scan_zero_divisors()
+
+    def scan_zero_divisors(self) -> frozenset[int]:
+        """Z*(R) by brute force over the multiplication rows, for any ring."""
         hits: list[int] = []
         for xs, rows in self._mul_row_chunks():
             mask = (rows[:, 1:] == 0).any(axis=1) & (xs != 0)
@@ -176,20 +199,34 @@ class FiniteRing:
         return self.order - 1
 
     def annihilator(self, x: int) -> frozenset[int]:
-        """ann(x) = {y : xy = 0}, always containing 0."""
+        """ann(x) = {y : xy = 0}, always containing 0.  In a product it is
+        the product of the factors' annihilators of x's coordinates.
+        """
         self._check_elem(x)
+        if self.factors:
+            coords = _mixed_decode(np.int64(x), [f.order for f in self.factors])
+            return _product_set(
+                self.factors, [f.annihilator(int(c)) for f, c in zip(self.factors, coords)]
+            )
         row = self._mul_rows(np.array([x], dtype=np.int64))[0]
         return frozenset(np.nonzero(row == 0)[0].tolist())
 
     @cached_property
     def is_field(self) -> bool:
+        """All nonzero elements are units; a product of two or more factors
+        never passes, since (1,0,...) is a nonzero non-unit.
+        """
         return len(self.units) == self.order - 1
 
     @cached_property
     def is_local(self) -> bool:
         """Zero divisors together with 0 are closed under addition, which
         for a finite commutative ring pins down the unique maximal ideal.
+        A product of two or more factors is never local: (1,0,...) and
+        (0,1,...) are non-units summing to one.
         """
+        if self.factors:
+            return len(self.factors) == 1 and self.factors[0].is_local
         nonunits = np.array(sorted(set(range(self.order)) - self.units), dtype=np.int64)
         member = np.zeros(self.order, dtype=bool)
         member[nonunits] = True
@@ -198,7 +235,12 @@ class FiniteRing:
 
     @cached_property
     def is_reduced(self) -> bool:
-        """No nonzero nilpotents: x^(2^ceil(log2 n)) vanishes iff x does."""
+        """No nonzero nilpotents: x^(2^ceil(log2 n)) vanishes iff x does.
+        A product is reduced exactly when every factor is, since powers are
+        taken coordinate-wise.
+        """
+        if self.factors:
+            return all(f.is_reduced for f in self.factors)
         p = np.arange(self.order, dtype=np.int64)
         steps = max(1, (self.order - 1).bit_length())
         for _ in range(steps):
@@ -404,7 +446,23 @@ def _mixed_encode(parts: Sequence[np.ndarray], radices: Sequence[int]) -> np.nda
     return out
 
 
+def _product_set(factors: Sequence[FiniteRing], parts: Sequence[frozenset[int]]) -> frozenset[int]:
+    """Indices of the product elements whose k-th coordinate lies in parts[k]."""
+    out = np.zeros(1, dtype=np.int64)
+    for f, part in zip(factors, parts):
+        out = (out[:, None] * f.order + np.fromiter(part, np.int64, len(part))[None, :]).ravel()
+    return frozenset(out.tolist())
+
+
+def _factor_op(table: np.ndarray | None, op: VecOp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return table[x, y] if table is not None else op(x, y)
+
+
 def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
+    """R_1 x ... x R_k with mixed-radix indices, the first factor most
+    significant.  Arithmetic decodes coordinates and gathers each factor's
+    cached op table; a factor above the table-cache cap computes its own.
+    """
     if len(factors) < 1:
         raise RingError("a product needs at least one factor")
     factors = tuple(factors)
@@ -417,12 +475,18 @@ def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
     def vadd(i, j):
         a = _mixed_decode(i, radices)
         b = _mixed_decode(j, radices)
-        return _mixed_encode([f.vec_add(x, y) for f, x, y in zip(factors, a, b)], radices)
+        return _mixed_encode(
+            [_factor_op(f._cached_add, f.vec_add, x, y) for f, x, y in zip(factors, a, b)],
+            radices,
+        )
 
     def vmul(i, j):
         a = _mixed_decode(i, radices)
         b = _mixed_decode(j, radices)
-        return _mixed_encode([f.vec_mul(x, y) for f, x, y in zip(factors, a, b)], radices)
+        return _mixed_encode(
+            [_factor_op(f._cached_mul, f.vec_mul, x, y) for f, x, y in zip(factors, a, b)],
+            radices,
+        )
 
     one = int(_mixed_encode([np.int64(f.one) for f in factors], radices))
 
@@ -438,14 +502,13 @@ def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
         vec_mul=vmul,
         one=one,
         elem_name=elem_name,
-        payload={"factors": factors},
+        factors=factors,
     )
 
 
 def product_encode(ring: FiniteRing, coords: Sequence[int]) -> int:
     """Index of the element with the given coordinates in a product ring."""
-    factors = ring.payload["factors"]
-    radices = [f.order for f in factors]
+    radices = [f.order for f in ring.factors]
     return int(_mixed_encode([np.int64(c) for c in coords], radices))
 
 

@@ -373,7 +373,7 @@ def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
             if verdict.admits != (k == 2):
                 rep.finding(instance, f"k={k} but admits={verdict.admits}")
                 continue
-            problems = _pair_completeness_problems(factors, verdict.admits)
+            problems = _pair_completeness_problems(verdict.graph, verdict.admits)
             if problems:
                 rep.finding(instance, "; ".join(problems))
                 continue
@@ -468,7 +468,7 @@ def _mixed_instance(args) -> dict:
     if verdict.discrepancy:
         out["problems"].append(f"mixed decider disagrees with the oracle: {verdict.notes}")
         return out
-    out["problems"].extend(_pair_completeness_problems(locals_ + fields_, verdict.admits))
+    out["problems"].extend(_pair_completeness_problems(verdict.graph, verdict.admits))
     if len(locals_) == 1 and len(fields_) == 1:
         literal = len(locals_[0].zero_divisors_nonzero) <= 2
         if literal != verdict.admits:
@@ -476,14 +476,12 @@ def _mixed_instance(args) -> dict:
     return out
 
 
-def _pair_completeness_problems(factors, admits: bool) -> list[str]:
+def _pair_completeness_problems(z: zdg.ZdGraph, admits: bool) -> list[str]:
     """On small graphs, re-check the edge sweep against unrestricted exact
-    search and the all-codes-are-pairs claim against full enumeration."""
-    from .rings import make_product
-
+    search and the all-codes-are-pairs claim against full enumeration, on
+    the graph `z` the decider ran on."""
     problems = []
-    ring = make_product(factors)
-    g = zdg.zero_divisor_graph(ring).graph
+    g = z.graph
     solver_bound = config.current().solver_bound
     if 1 <= g.n <= solver_bound:
         exact = find_tpc(g, bound=solver_bound)

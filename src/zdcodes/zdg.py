@@ -22,8 +22,16 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from . import config, kernels
-from .graphs import Graph, articulation_points
-from .rings import FiniteRing, RingError, factorize, make_product, make_zn, product_encode
+from .graphs import Graph, LazyLabels, articulation_points
+from .rings import (
+    FiniteRing,
+    RingError,
+    _mixed_decode,
+    factorize,
+    make_product,
+    make_zn,
+    product_encode,
+)
 from .tpc import find_tpc, is_total_perfect_code
 
 
@@ -41,19 +49,26 @@ class ZdGraph:
 
 
 def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
+    """Gamma(R), vertices in ascending element order.  In a product xy = 0
+    exactly when every coordinate product vanishes, so adjacency is the AND
+    of each factor's zero-product table over its distinct coordinates,
+    gathered back to the vertices.  Vertex labels are the element names,
+    computed only when read.
+    """
     elems = np.array(sorted(ring.zero_divisors_nonzero), dtype=np.int64)
     v = len(elems)
-    if v:
-        prods = ring.vec_mul(elems[:, None], elems[None, :])
-        adj = prods == 0
-        np.fill_diagonal(adj, False)
-        ii, jj = np.nonzero(np.triu(adj, 1))
-        edges = list(zip(ii.tolist(), jj.tolist()))
+    if ring.factors:
+        adj = np.ones((v, v), dtype=bool)
+        radices = [f.order for f in ring.factors]
+        for f, coords in zip(ring.factors, _mixed_decode(elems, radices)):
+            values, where = np.unique(coords, return_inverse=True)
+            adj &= f.zero_products(values)[np.ix_(where, where)]
     else:
-        edges = []
-    labels = {i: ring.element_name(int(e)) for i, e in enumerate(elems)}
-    g = Graph(v, edges, labels, name=f"Gamma({ring.name})")
-    return ZdGraph(ring, g, tuple(int(e) for e in elems))
+        adj = ring.zero_products(elems)
+    ii, jj = np.nonzero(np.triu(adj, 1))
+    labels = LazyLabels(v, lambda i: ring.element_name(int(elems[i])))
+    g = Graph(v, zip(ii.tolist(), jj.tolist()), labels, name=f"Gamma({ring.name})")
+    return ZdGraph(ring, g, tuple(elems.tolist()))
 
 
 def cap_ann(ring: FiniteRing, x: int) -> frozenset[int]:
@@ -117,6 +132,8 @@ class RingVerdict:
     cross_checked: bool
     discrepancy: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
+    #: the graph the routes ran on, None when no route needed one
+    graph: ZdGraph | None = field(default=None, compare=False, repr=False)
 
     def to_obj(self) -> dict:
         return {
@@ -141,6 +158,7 @@ def _assemble_verdict(
     results: list[DeciderResult],
     cross_checked: bool,
     notes: tuple[str, ...] = (),
+    graph: ZdGraph | None = None,
 ) -> RingVerdict:
     answers = {r.admits for r in results}
     discrepancy = len(answers) > 1
@@ -165,6 +183,7 @@ def _assemble_verdict(
         cross_checked=cross_checked,
         discrepancy=discrepancy,
         notes=notes,
+        graph=graph,
     )
 
 
@@ -210,7 +229,7 @@ def local_decider(ring: FiniteRing, bound: int | None = None) -> RingVerdict:
         exact = ring_code_exact(z, bound=limit)
         results.append(DeciderResult("exact-search", exact is not None, exact))
         cross = True
-    return _assemble_verdict(ring, results, cross_checked=cross)
+    return _assemble_verdict(ring, results, cross_checked=cross, graph=z)
 
 
 def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
@@ -337,7 +356,7 @@ def reduced_decider(factors, bound: int | None = None) -> RingVerdict:
         assert is_total_perfect_code(z.graph, {z.vertex_of(e) for e in witness})
     pair = tpc_pair_solver(z)
     results.append(DeciderResult("exact-pair", pair is not None, pair))
-    return _assemble_verdict(ring, results, cross_checked=True)
+    return _assemble_verdict(ring, results, cross_checked=True, graph=z)
 
 
 def mixed_decider(local_factors, field_factors, bound: int | None = None) -> RingVerdict:
@@ -401,6 +420,7 @@ def mixed_decider(local_factors, field_factors, bound: int | None = None) -> Rin
         admits = False  # three or more local factors
     results = [DeciderResult("artinian-case", admits, witness)]
     cross = False
+    z = None
     if ring.order <= config.current().ring_cap:
         z = zero_divisor_graph(ring)
         if witness is not None:
@@ -410,7 +430,7 @@ def mixed_decider(local_factors, field_factors, bound: int | None = None) -> Rin
         cross = True
     else:
         notes = notes + ("beyond the ring cap: structural decision only",)
-    return _assemble_verdict(ring, results, cross_checked=cross, notes=notes)
+    return _assemble_verdict(ring, results, cross_checked=cross, notes=notes, graph=z)
 
 
 # -- decomposition for arbitrary rings ------------------------------------------
@@ -427,8 +447,8 @@ def artinian_split(ring: FiniteRing) -> tuple[list[FiniteRing], list[FiniteRing]
     fields_: list[FiniteRing] = []
 
     def walk(r: FiniteRing) -> bool:
-        if r.kind == "product":
-            return all(walk(f) for f in r.payload["factors"])
+        if r.factors:
+            return all(walk(f) for f in r.factors)
         if r.kind == "zn":
             parts = factorize(r.payload["n"])
             if len(parts) > 1:
@@ -566,9 +586,9 @@ def count_zero_divisors(factors) -> tuple[int, CountReport]:
 
     enumerated = None
     if order <= config.current().ring_cap:
-        enumerated = len(make_product(factors).zero_divisors_nonzero) if len(factors) > 1 else len(
-            factors[0].zero_divisors_nonzero
-        )
+        # a brute-force scan: a product's own Z* is the unit complement, the
+        # very identity the closed form rests on
+        enumerated = len(make_product(factors).scan_zero_divisors())
 
     locals_ = [f for f in factors if _classify(f) == "local"]
     fields_ = [f for f in factors if _classify(f) == "field"]
