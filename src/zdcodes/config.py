@@ -1,8 +1,9 @@
-"""Runtime limits and backend selection.
+"""Runtime limits.
 
 Every cap can be overridden by an environment variable or (for the CLI) a
-JSON config file.  Defaults are generous: no ring in the shipped catalogs
-has more than a few hundred elements.
+JSON config file; other variables and keys are ignored.  Defaults are
+generous: no ring in the shipped catalogs has more than a few hundred
+elements.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ ENV_VARS = {
     "ZDCODES_TABLE_CACHE_CAP": "largest ring order whose op tables are cached (default 256)",
     "ZDCODES_SOLVER_BOUND": "vertex count above which the exact search warns (default 64)",
     "ZDCODES_ENUM_BOUND": "vertex limit for full code enumeration (default 24)",
-    "ZDCODES_BACKEND": "kernel backend: auto | numba | numpy (default auto)",
 }
 
 
@@ -29,7 +29,6 @@ class Settings:
     table_cache_cap: int = 256
     solver_bound: int = 64
     enum_bound: int = 24
-    backend: str = "auto"  # auto | numba | numpy
 
     def merged_with_env(self) -> "Settings":
         out = self
@@ -42,9 +41,6 @@ class Settings:
             raw = os.environ.get(ENV_PREFIX + key)
             if raw is not None:
                 out = replace(out, **{field: int(raw)})
-        raw = os.environ.get(ENV_PREFIX + "BACKEND")
-        if raw is not None:
-            out = replace(out, backend=_check_backend(raw))
         return out
 
     def merged_with_file(self, path: str) -> "Settings":
@@ -54,16 +50,7 @@ class Settings:
         for field in ("ring_cap", "table_cache_cap", "solver_bound", "enum_bound"):
             if field in data:
                 out = replace(out, **{field: int(data[field])})
-        if "backend" in data:
-            out = replace(out, backend=_check_backend(data["backend"]))
         return out
-
-
-def _check_backend(name: str) -> str:
-    name = name.strip().lower()
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}: expected auto, numba or numpy")
-    return name
 
 
 _override: Settings | None = None

@@ -3,7 +3,8 @@
 Vertices are dense integer indices; optional text labels ride along in a
 sidecar map so solvers never see them, and a `LazyLabels` map names a
 vertex only when its label is read.  Adjacency is kept as sorted edge list
-plus per-vertex sets and per-vertex bitmasks.
+plus per-vertex sets and per-vertex bitmasks; the solvers read the
+bitmasks.
 """
 
 from __future__ import annotations
@@ -106,15 +107,6 @@ class Graph:
             masks[b] |= 1 << a
         return tuple(masks)
 
-    @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for a, b in self.edges:
-            adj[a, b] = True
-            adj[b, a] = True
-        adj.setflags(write=False)
-        return adj
-
     def neighbors(self, v: int) -> frozenset[int]:
         return self.neighbor_sets[v]
 
@@ -186,15 +178,29 @@ class Graph:
 
 
 def diameter(g: Graph) -> int | float:
-    """Longest shortest-path length; inf when disconnected, 0 for n <= 1."""
-    if g.n == 0:
-        return 0
+    """Longest shortest-path length; inf when disconnected, 0 for n <= 1.
+    Each breadth-first search grows a bitmask frontier by OR-ing the
+    neighbourhood masks of its members."""
+    masks = g.neighbor_masks
+    full = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        dist = g.bfs_distances(v)
-        if min(dist) < 0:
+        seen = frontier = 1 << v
+        depth = 0
+        while True:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            depth += 1
+        if seen != full:
             return float("inf")
-        best = max(best, max(dist))
+        best = max(best, depth)
     return best
 
 

@@ -1,180 +1,96 @@
-"""Hot kernels: exact total-perfect-code search and the edge-pair sweep.
+"""Exact total-perfect-code search and the edge-pair sweep, on bitsets.
 
-Both kernels exist in two interchangeable flavours selected by the
-ZDCODES_BACKEND environment variable (see `config`):
+A graph is given by its open neighbourhoods as Python-int bitmasks
+(`Graph.neighbor_masks`).  A total perfect code C covers every vertex
+exactly once by the sets N(c), c in C, so the search is Knuth's Algorithm X
+for exact cover ("Dancing Links", arXiv:cs/0011047) with vertices as both
+items and options.  Choosing c covers N(c) and removes from the candidates
+every u whose neighbourhood meets N(c); that set is `conflict[c]`, the OR
+of N(w) over w in N(c), and holds c itself.
 
-* ``numba``  - the same function bodies compiled with ``@njit(cache=True)``;
-* ``numpy``  - plain-Python execution over the same numpy arrays, with the
-  pair sweep fully vectorised.
-
-``auto`` (the default) routes small instances to the numpy path, where JIT
-warm-up would dominate, and large instances to numba when it is importable.
-Results are identical by construction; the test suite asserts equality on a
-shared corpus and ``benchmarks/bench_kernels.py`` compares throughput.
-
-The search assigns vertices in index order, keeps a per-vertex counter of
-code neighbours, and prunes as soon as a counter exceeds one or a vertex
-with all neighbours decided is left uncovered.  Trying "in the code" before
-"out of the code" makes the first solution the lexicographically least one
-under sorted-vertex-sequence order (no two total perfect codes are nested,
-so prefix ambiguity never arises).
+Each state (covered, chosen, candidates) first takes forced moves: an
+uncovered vertex with no candidate neighbour fails the state, one with a
+single candidate neighbour takes it.  The state then branches on its
+lowest candidate, "in the code" before "out of it".  Codes therefore come
+out in sorted-vertex-sequence order: both branches share every vertex
+below the branch vertex, and no two codes are nested, so the code holding
+it is the lexicographically smaller.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-from . import config
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    HAS_NUMBA = False
-
-# below this vertex count the plain path beats JIT warm-up
-NUMBA_MIN_VERTICES = 48
+def _masks(n: int, neighbor_lists) -> list[int]:
+    masks = [0] * n
+    for v in range(n):
+        for w in neighbor_lists[v]:
+            masks[v] |= 1 << w
+    return masks
 
 
-def _tpc_search(n, indptr, indices, fin_ptr, fin_idx, limit, out):
-    """Backtracking search over vertex subsets; fills `out` with up to
-    `limit` solutions as 0/1 rows in lexicographic order, returns the count.
-    """
-    counts = np.zeros(n, np.int8)
-    state = np.full(n, -1, np.int8)
-    phase = np.zeros(n, np.int8)
-    found = 0
-    pos = 0
-    while pos >= 0:
-        if pos == n:
-            for v in range(n):
-                out[found, v] = 1 if state[v] == 1 else 0
-            found += 1
-            if found >= limit:
-                return found
-            pos -= 1
-            if state[pos] == 1:
-                for t in range(indptr[pos], indptr[pos + 1]):
-                    counts[indices[t]] -= 1
-            state[pos] = -1
+def _take(v: int, state: tuple[int, int, int], nb) -> tuple[int, int, int]:
+    """Put v in the code: cover N(v) and drop the candidates in conflict[v]."""
+    covered, chosen, cand = state
+    conflict = 0
+    m = nb[v]
+    while m:
+        low = m & -m
+        conflict |= nb[low.bit_length() - 1]
+        m ^= low
+    return covered | nb[v], chosen | 1 << v, cand & ~conflict
+
+
+def _propagate(state, nb, full):
+    """Take every forced move; None when some vertex can no longer be
+    covered."""
+    while True:
+        forced = False
+        rest = full & ~state[0]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if state[0] & low:
+                continue  # covered by a move taken in this pass
+            options = nb[low.bit_length() - 1] & state[2]
+            if not options:
+                return None
+            if not options & (options - 1):
+                state = _take(options.bit_length() - 1, state, nb)
+                forced = True
+        if not forced:
+            return state
+
+
+def cover_codes(masks, limit: int) -> list[frozenset[int]]:
+    """Total perfect codes of the graph with neighbourhood bitmasks `masks`,
+    in sorted-vertex-sequence order, up to `limit` of them."""
+    n = len(masks)
+    if not all(masks):
+        return []  # an isolated vertex can never be covered
+    full = (1 << n) - 1
+    found: list[frozenset[int]] = []
+    stack = [(0, 0, full)]
+    while stack:
+        state = _propagate(stack.pop(), masks, full)
+        if state is None:
             continue
-        p = phase[pos]
-        if p == 2:
-            phase[pos] = 0
-            pos -= 1
-            if pos >= 0:
-                if state[pos] == 1:
-                    for t in range(indptr[pos], indptr[pos + 1]):
-                        counts[indices[t]] -= 1
-                state[pos] = -1
-            continue
-        phase[pos] = p + 1
-        include = p == 0
-        ok = True
-        if include:
-            state[pos] = 1
-            for t in range(indptr[pos], indptr[pos + 1]):
-                w = indices[t]
-                counts[w] += 1
-                if counts[w] > 1:
-                    ok = False
-        else:
-            state[pos] = 0
-        if ok:
-            for t in range(fin_ptr[pos], fin_ptr[pos + 1]):
-                if counts[fin_idx[t]] != 1:
-                    ok = False
-                    break
-        if ok:
-            pos += 1
-        else:
-            if include:
-                for t in range(indptr[pos], indptr[pos + 1]):
-                    counts[indices[t]] -= 1
-            state[pos] = -1
-    return found
-
-
-def _pair_sweep_loop(adj, ex, ey, limit, out):
-    """Scan candidate pairs (ex[i], ey[i]); a pair is a hit when every
-    vertex has exactly one neighbour among the two.  Returns hit count.
-    """
-    n = adj.shape[0]
-    found = 0
-    for i in range(ex.shape[0]):
-        x = ex[i]
-        y = ey[i]
-        good = True
-        for v in range(n):
-            if adj[v, x] == adj[v, y]:
-                good = False
+        covered, chosen, cand = state
+        if covered == full:
+            found.append(frozenset(v for v in range(n) if chosen >> v & 1))
+            if len(found) >= limit:
                 break
-        if good:
-            out[found] = i
-            found += 1
-            if found >= limit:
-                return found
+            continue
+        low = cand & -cand
+        stack.append((covered, chosen, cand ^ low))
+        stack.append(_take(low.bit_length() - 1, state, masks))
     return found
-
-
-if HAS_NUMBA:
-    _tpc_search_nb = njit(cache=True)(_tpc_search)
-    _pair_sweep_nb = njit(cache=True)(_pair_sweep_loop)
-
-
-class BackendError(RuntimeError):
-    pass
-
-
-def resolve_backend(n_vertices: int) -> str:
-    mode = config.current().backend
-    if mode == "numba":
-        if not HAS_NUMBA:
-            raise BackendError("ZDCODES_BACKEND=numba but numba is not importable")
-        return "numba"
-    if mode == "numpy":
-        return "numpy"
-    if HAS_NUMBA and n_vertices >= NUMBA_MIN_VERTICES:
-        return "numba"
-    return "numpy"
-
-
-def _csr(n: int, neighbor_lists) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(n + 1, np.int64)
-    for v in range(n):
-        indptr[v + 1] = indptr[v] + len(neighbor_lists[v])
-    indices = np.empty(indptr[-1], np.int64)
-    for v in range(n):
-        indices[indptr[v] : indptr[v + 1]] = sorted(neighbor_lists[v])
-    return indptr, indices
-
-
-def _finalize_groups(n: int, neighbor_lists) -> tuple[np.ndarray, np.ndarray]:
-    # group[v] = index whose decision finalizes v's counter
-    groups: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if neighbor_lists[v]:
-            groups[max(neighbor_lists[v])].append(v)
-    return _csr(n, groups)
 
 
 def search_codes(n: int, neighbor_lists, limit: int) -> list[frozenset[int]]:
     """All total perfect codes of the graph in lexicographic order, up to
     `limit` of them.  `neighbor_lists[v]` is an iterable of v's neighbours.
     """
-    if n == 0:
-        return [frozenset()]
-    if any(not neighbor_lists[v] for v in range(n)):
-        return []  # an isolated vertex can never be covered
-    indptr, indices = _csr(n, neighbor_lists)
-    fin_ptr, fin_idx = _finalize_groups(n, neighbor_lists)
-    out = np.zeros((limit, n), np.int8)
-    if resolve_backend(n) == "numba":
-        found = _tpc_search_nb(n, indptr, indices, fin_ptr, fin_idx, limit, out)
-    else:
-        found = _tpc_search(n, indptr, indices, fin_ptr, fin_idx, limit, out)
-    return [frozenset(np.nonzero(out[i])[0].tolist()) for i in range(found)]
+    return cover_codes(_masks(n, neighbor_lists), limit)
 
 
 def search_first_code(n: int, neighbor_lists) -> frozenset[int] | None:
@@ -182,27 +98,16 @@ def search_first_code(n: int, neighbor_lists) -> frozenset[int] | None:
     return hits[0] if hits else None
 
 
-def pair_sweep(adj: np.ndarray, edges: np.ndarray, find_all: bool = False) -> list[tuple[int, int]]:
-    """Candidate pairs among `edges` that are total perfect codes of the
-    graph with boolean adjacency matrix `adj`, in the order given.
-    """
-    m = edges.shape[0]
-    if m == 0:
-        return []
-    n = adj.shape[0]
-    if resolve_backend(n) == "numba":
-        out = np.empty(m, np.int64)
-        limit = m if find_all else 1
-        cnt = _pair_sweep_nb(adj, edges[:, 0].copy(), edges[:, 1].copy(), limit, out)
-        return [(int(edges[i, 0]), int(edges[i, 1])) for i in out[:cnt]]
+def pair_sweep(masks, edges, find_all: bool = False) -> list[tuple[int, int]]:
+    """Edges (x, y) among `edges`, in the order given, that are total perfect
+    codes of the graph with neighbourhood bitmasks `masks`: N(x) and N(y)
+    are disjoint and together hold every vertex."""
+    full = (1 << len(masks)) - 1
     hits: list[tuple[int, int]] = []
-    chunk = max(1, 4_000_000 // max(1, n))
-    for s in range(0, m, chunk):
-        e = edges[s : s + chunk]
-        diff = adj[:, e[:, 0]] ^ adj[:, e[:, 1]]
-        good = np.nonzero(diff.all(axis=0))[0]
-        for i in good:
-            hits.append((int(e[i, 0]), int(e[i, 1])))
+    for x, y in edges:
+        a, b = masks[x], masks[y]
+        if not a & b and a | b == full:
+            hits.append((x, y))
             if not find_all:
-                return hits
+                break
     return hits

@@ -339,7 +339,7 @@ def suite_local_catalog() -> SuiteReport:
         if verdict.discrepancy:
             rep.finding(instance, f"local decider routes disagree: {verdict.notes}")
             continue
-        report = zdg.cut_vertex_report(ring)
+        report = zdg.cut_vertex_report(ring, verdict.graph)
         if report.findings:
             rep.finding(instance, "; ".join(report.findings))
             continue

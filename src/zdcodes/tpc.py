@@ -2,10 +2,10 @@
 
 A total perfect code (efficient open dominating set) is a vertex set C with
 |N(v) & C| = 1 for every vertex v, members of C included.  This module has
-the verifier, the exact backtracking oracle, a linear tree dynamic program
-and the closed-form deciders for paths, cycles, complete and complete
-bipartite graphs, each returning a constructive code that the verifier
-accepts.
+the verifier, the exact oracle (an exact-cover search, see `kernels`), a
+linear tree dynamic program and the closed-form deciders for paths,
+cycles, complete and complete bipartite graphs, each returning a
+constructive code that the verifier accepts.
 
 Conventions (degenerate inputs are legal everywhere):
 
@@ -47,12 +47,10 @@ def is_total_perfect_code(g: Graph, code) -> bool:
     for v in cs:
         if not (0 <= v < g.n):
             raise GraphError(f"code vertex {v} out of range")
-    if g.n > 64:
-        cmask = 0
-        for v in cs:
-            cmask |= 1 << v
-        return all((g.neighbor_masks[v] & cmask).bit_count() == 1 for v in range(g.n))
-    return all(len(g.neighbor_sets[v] & cs) == 1 for v in range(g.n))
+    cmask = 0
+    for v in cs:
+        cmask |= 1 << v
+    return all((m & cmask).bit_count() == 1 for m in g.neighbor_masks)
 
 
 def find_tpc(g: Graph, bound: int | None = None) -> frozenset[int] | None:
@@ -68,7 +66,8 @@ def find_tpc(g: Graph, bound: int | None = None) -> frozenset[int] | None:
             RuntimeWarning,
             stacklevel=2,
         )
-    return kernels.search_first_code(g.n, [sorted(s) for s in g.neighbor_sets])
+    hits = kernels.cover_codes(g.neighbor_masks, limit=1)
+    return hits[0] if hits else None
 
 
 class EnumerationBoundError(ValueError):
@@ -83,7 +82,7 @@ def enumerate_tpcs(g: Graph, bound: int | None = None) -> list[frozenset[int]]:
             f"enumeration over {g.n} vertices exceeds the bound {limit}; "
             "use find_tpc for a single witness"
         )
-    hits = kernels.search_codes(g.n, [sorted(s) for s in g.neighbor_sets], limit=65536)
+    hits = kernels.cover_codes(g.neighbor_masks, limit=65536)
     if len(hits) >= 65536:  # pragma: no cover - unreachable at the 24-vertex bound
         raise RuntimeError("solution buffer exhausted")
     return hits

@@ -88,8 +88,7 @@ def tpc_pair_solver(z: ZdGraph, find_all: bool = False):
     code, as ring elements, or None.  With find_all, every such edge.
     """
     g = z.graph
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    hits = kernels.pair_sweep(g.adjacency_matrix, edges, find_all=find_all)
+    hits = kernels.pair_sweep(g.neighbor_masks, g.edges, find_all=find_all)
     if find_all:
         return [z.to_elements(h) for h in hits]
     return z.to_elements(hits[0]) if hits else None
@@ -262,8 +261,9 @@ class CutVertexReport:
         }
 
 
-def cut_vertex_report(ring: FiniteRing) -> CutVertexReport:
-    """Articulation analysis of a local ring's graph.
+def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexReport:
+    """Articulation analysis of a local ring's graph; `z` is that graph when
+    the caller has already built it.
 
     Checks: every code member with |ann(z)| > 2 is a cut vertex; cut
     vertices exist iff some |ann(x)| = 2 or the ring carries the
@@ -273,7 +273,8 @@ def cut_vertex_report(ring: FiniteRing) -> CutVertexReport:
     """
     if not ring.is_local:
         raise RingError(f"{ring.name} is not local")
-    z = zero_divisor_graph(ring)
+    if z is None:
+        z = zero_divisor_graph(ring)
     art = frozenset(z.elements[v] for v in articulation_points(z.graph))
     code = tpc_pair_solver(z)
     checks: list[tuple[str, bool, str]] = []

@@ -1,8 +1,11 @@
 import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
+from test_solver import gnp_graphs
 from zdcodes import graphs
 from zdcodes.graphs import (
     Graph,
@@ -18,6 +21,8 @@ from zdcodes.graphs import (
     make_path,
     make_star,
 )
+from zdcodes.rings import make_zn
+from zdcodes.zdg import zero_divisor_graph
 
 
 def test_generator_edge_counts():
@@ -183,3 +188,35 @@ def test_neighbor_masks_match_sets():
     g = fixture_graph8()
     for v in range(g.n):
         assert g.neighbor_masks[v] == sum(1 << w for w in g.neighbor_sets[v])
+
+
+# -- networkx as an independent reference ------------------------------------
+
+
+def _nx_reference(g: Graph):
+    """(diameter, articulation points, connected) by networkx, under this
+    package's conventions for the empty and disconnected graphs."""
+    if g.n == 0:
+        return 0, frozenset(), True
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    connected = nx.is_connected(h)
+    diam = nx.diameter(h) if connected else math.inf
+    return diam, frozenset(nx.articulation_points(h)), connected
+
+
+def _ours(g: Graph):
+    return diameter(g), articulation_points(g), g.is_connected()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gnp_graphs(max_n=20))
+def test_metrics_match_networkx_on_random_graphs(g):
+    assert _ours(g) == _nx_reference(g)
+
+
+def test_metrics_match_networkx_on_zero_divisor_graphs():
+    for n in range(2, 201):
+        g = zero_divisor_graph(make_zn(n)).graph
+        assert _ours(g) == _nx_reference(g), f"Gamma(Z{n})"

@@ -1,22 +1,16 @@
-import numpy as np
 import pytest
 
 from zdcodes import config, kernels
 from zdcodes.graphs import make_complete_bipartite, make_cycle, make_path
+from zdcodes.tpc import find_tpc
 
 
-def test_backend_resolution(monkeypatch):
-    monkeypatch.setenv("ZDCODES_BACKEND", "numpy")
-    assert kernels.resolve_backend(1000) == "numpy"
-    monkeypatch.setenv("ZDCODES_BACKEND", "auto")
-    assert kernels.resolve_backend(4) == "numpy"
-    if kernels.HAS_NUMBA:
-        assert kernels.resolve_backend(1000) == "numba"
-        monkeypatch.setenv("ZDCODES_BACKEND", "numba")
-        assert kernels.resolve_backend(4) == "numba"
+def test_stale_backend_variable_is_ignored(monkeypatch):
+    # the two-backend selector is gone; its old variable is an unknown name
+    before = config.current()
     monkeypatch.setenv("ZDCODES_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        kernels.resolve_backend(4)
+    assert config.current() == before
+    assert find_tpc(make_path(4)) == {1, 2}
 
 
 def test_search_empty_and_isolated():
@@ -36,42 +30,16 @@ def test_search_limit_short_circuits():
     g = make_complete_bipartite(4, 4)
     hits = kernels.search_codes(g.n, [sorted(s) for s in g.neighbor_sets], limit=3)
     assert len(hits) == 3
+    everything = kernels.search_codes(g.n, [sorted(s) for s in g.neighbor_sets], limit=100)
+    assert hits == everything[:3]
+    assert kernels.search_first_code(g.n, [sorted(s) for s in g.neighbor_sets]) == everything[0]
 
 
 def test_pair_sweep_matches_definition():
     g = make_path(4)
-    adj = g.adjacency_matrix
-    edges = np.array(g.edges, dtype=np.int64)
-    assert kernels.pair_sweep(adj, edges) == [(1, 2)]
-    assert kernels.pair_sweep(adj, edges, find_all=True) == [(1, 2)]
-    assert kernels.pair_sweep(adj, np.empty((0, 2), dtype=np.int64)) == []
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_search_backends_agree_on_large_graph(monkeypatch):
-    from zdcodes.rings import make_zn
-    from zdcodes.tpc import find_tpc
-    from zdcodes.zdg import zero_divisor_graph
-
-    for n in (96, 125, 144):
-        g = zero_divisor_graph(make_zn(n)).graph
-        monkeypatch.setenv("ZDCODES_BACKEND", "numpy")
-        a = find_tpc(g, bound=g.n)
-        monkeypatch.setenv("ZDCODES_BACKEND", "numba")
-        b = find_tpc(g, bound=g.n)
-        assert a == b
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_pair_sweep_backends_agree(monkeypatch):
-    g = make_complete_bipartite(3, 5)
-    adj = g.adjacency_matrix
-    edges = np.array(g.edges, dtype=np.int64)
-    monkeypatch.setenv("ZDCODES_BACKEND", "numpy")
-    a = kernels.pair_sweep(adj, edges, find_all=True)
-    monkeypatch.setenv("ZDCODES_BACKEND", "numba")
-    b = kernels.pair_sweep(adj, edges, find_all=True)
-    assert a == b and len(a) == 15
+    assert kernels.pair_sweep(g.neighbor_masks, g.edges) == [(1, 2)]
+    assert kernels.pair_sweep(g.neighbor_masks, g.edges, find_all=True) == [(1, 2)]
+    assert kernels.pair_sweep(g.neighbor_masks, []) == []
 
 
 def test_config_env_and_file(monkeypatch, tmp_path):
@@ -80,12 +48,11 @@ def test_config_env_and_file(monkeypatch, tmp_path):
     cfg = tmp_path / "s.json"
     cfg.write_text('{"ring_cap": 64, "backend": "numpy"}')
     s = config.Settings().merged_with_file(str(cfg))
-    assert s.ring_cap == 64 and s.backend == "numpy"
+    assert s == config.Settings(ring_cap=64)  # the stale backend key is ignored
     with pytest.raises(OSError):
         config.Settings().merged_with_file(str(tmp_path / "missing.json"))
     cfg.write_text('{"backend": "bogus"}')
-    with pytest.raises(ValueError):
-        config.Settings().merged_with_file(str(cfg))
+    assert config.Settings().merged_with_file(str(cfg)) == config.Settings()
 
 
 def test_config_override(monkeypatch):

@@ -1,0 +1,68 @@
+"""The bitset exact-cover solver against brute force: same codes, same order,
+and the first of them is the `find_tpc` witness."""
+
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_tpc import brute_tpcs
+from zdcodes import kernels
+from zdcodes.graphs import Graph, make_complete_bipartite, make_cycle, make_path
+from zdcodes.rings import make_zn
+from zdcodes.tpc import enumerate_tpcs, find_tpc, is_total_perfect_code
+from zdcodes.zdg import zero_divisor_graph
+
+
+@st.composite
+def gnp_graphs(draw, max_n=14):
+    """G(n, p): each of the n(n-1)/2 possible edges present with probability p."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, u in zip(pairs, keep) if u < p])
+
+
+def _families():
+    gs = [make_path(n) for n in range(1, 15)]
+    gs += [make_cycle(n) for n in range(3, 15)]
+    gs += [make_complete_bipartite(m, n) for m in range(1, 7) for n in range(m, 8)]
+    return gs
+
+
+def _check_against_brute(g: Graph):
+    oracle = brute_tpcs(g)
+    assert enumerate_tpcs(g) == oracle
+    assert find_tpc(g) == (oracle[0] if oracle else None)
+    codes_on_edges = [e for e in g.edges if frozenset(e) in oracle]
+    assert kernels.pair_sweep(g.neighbor_masks, g.edges, find_all=True) == codes_on_edges
+    assert kernels.pair_sweep(g.neighbor_masks, g.edges) == codes_on_edges[:1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gnp_graphs())
+def test_random_graphs_match_bruteforce(g):
+    _check_against_brute(g)
+
+
+@pytest.mark.parametrize("g", _families(), ids=lambda g: g.name)
+def test_families_match_bruteforce(g):
+    _check_against_brute(g)
+
+
+def test_gamma_z720_has_no_code_quickly():
+    g = zero_divisor_graph(make_zn(720)).graph
+    t0 = time.perf_counter()
+    assert find_tpc(g, bound=g.n) is None
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_gamma_z4096_witness_is_the_least_edge():
+    g = zero_divisor_graph(make_zn(4096)).graph
+    assert g.n == 2047
+    code = find_tpc(g, bound=g.n)
+    first_edge = kernels.pair_sweep(g.neighbor_masks, g.edges)
+    assert code == frozenset(first_edge[0])
+    assert is_total_perfect_code(g, code)

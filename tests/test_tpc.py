@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from zdcodes import kernels
 from zdcodes.graphs import (
     Graph,
     corona,
@@ -111,17 +110,6 @@ def test_find_and_enumerate_match_bruteforce(g):
 def test_find_is_deterministic():
     g = fixture_graph8()
     assert find_tpc(g) == find_tpc(g)
-
-
-def test_backends_agree(monkeypatch):
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    for g in small_corpus()[:12]:
-        monkeypatch.setenv("ZDCODES_BACKEND", "numpy")
-        a = find_tpc(g)
-        monkeypatch.setenv("ZDCODES_BACKEND", "numba")
-        b = find_tpc(g)
-        assert a == b
 
 
 def test_enumeration_bound():
