@@ -167,7 +167,11 @@ class Graph:
         return self.n <= 1 or len(self.connected_components()) == 1
 
     def is_tree(self) -> bool:
-        return self.n >= 1 and self.is_connected() and len(self.edges) == self.n - 1
+        return self._is_tree
+
+    @cached_property
+    def _is_tree(self) -> bool:
+        return self.n >= 1 and len(self.edges) == self.n - 1 and self.is_connected()
 
     def is_star(self) -> bool:
         """K_{1,k} for some k >= 1 (P_2 counts as K_{1,1})."""

@@ -236,8 +236,8 @@ def suite_trees(
         except trees.FamilyTraceFinding as exc:  # pragma: no cover - generator uses safe classes
             rep.finding(instance, f"grown tree lost its code: {exc.trace_obj}")
             continue
-        if tree_tpc(tr.graph) is None:  # pragma: no cover - checked during growth
-            rep.finding(instance, "final tree admits no code")
+        if not is_total_perfect_code(tr.graph, tr.codes[-1]):  # pragma: no cover
+            rep.finding(instance, "final tree's code fails the verifier")
             continue
         rep.agree()
 

@@ -58,7 +58,12 @@ def private_neighborhood(g: Graph, subset, v: int) -> frozenset[int]:
 
 
 def is_quasi_isolated(g: Graph, subset, v: int) -> bool:
-    """v is the sole private neighbour of some member of the subset."""
+    """v is the sole private neighbour of some member of the subset.
+
+    Private neighbourhoods subtract the closed neighbourhoods of the other
+    members, so no member of the subset is anyone's private neighbour: the
+    answer is False for every v in the subset.
+    """
     s = frozenset(subset)
     return any(private_neighborhood(g, s, u) == {v} for u in s)
 
@@ -181,12 +186,14 @@ def apply_step(t: Graph, code, step: TreeBuildStep) -> Graph:
     return _attach_path(t, step.v, n, join_offset=step.k)
 
 
-def generate_family_T(initial: int, steps) -> BuildTrace:
-    """Build a tree from a legal starting path by a step sequence.  The
-    code needed by each precondition is recomputed by the tree solver with
-    the attachment vertex forced in (membership in some code is what the
-    preconditions quantify over).  Every stage is re-verified to admit a
-    code; a stage that does not aborts with the replayable trace.
+def _grow(initial: int, next_step) -> BuildTrace:
+    """Grow familyT(initial) from the legal starting path.  `next_step(t,
+    code)` sees the current tree and the code of its latest stage and
+    returns the next step, or None to stop.  The stage code serves as the
+    step's code when it holds the attachment vertex; otherwise the tree
+    solver forces that vertex in (membership in some code is what the
+    preconditions quantify over).  Every new stage is solved once; a stage
+    without a code aborts with the replayable trace.
     """
     if initial < 2:
         raise StepPreconditionError("the starting path needs at least two vertices")
@@ -194,27 +201,37 @@ def generate_family_T(initial: int, steps) -> BuildTrace:
         raise StepPreconditionError(
             f"the starting path length {initial} is 1 mod 4 and admits no code"
         )
-    t = make_path(initial)
-    t = Graph(t.n, t.edges, name=f"familyT({initial})")
-    steps = tuple(steps)
+    t = Graph(initial, make_path(initial).edges, name=f"familyT({initial})")
+    steps: list[TreeBuildStep] = []
     codes = [tree_tpc(t)]
     assert codes[0] is not None
-    for done, step in enumerate(steps):
-        code = tree_tpc(t, force_include=step.v)
-        if code is None:
-            raise StepPreconditionError(
-                f"vertex {step.v} lies in no total perfect code of the current tree"
-            )
+    while (step := next_step(t, codes[-1])) is not None:
+        code = codes[-1]
+        # a vertex outside the tree is left to apply_step's range check
+        if step.v not in code and 0 <= step.v < t.n:
+            code = tree_tpc(t, force_include=step.v)
+            if code is None:
+                raise StepPreconditionError(
+                    f"vertex {step.v} lies in no total perfect code of the current tree"
+                )
         t = apply_step(t, code, step)
+        steps.append(step)
         after = tree_tpc(t)
         if after is None:
-            partial = BuildTrace(initial, steps[: done + 1], t, tuple(codes))
+            partial = BuildTrace(initial, tuple(steps), t, tuple(codes))
             raise FamilyTraceFinding(
-                f"step {done} ({step.op} at {step.v}) produced a tree with no code",
+                f"step {len(steps) - 1} ({step.op} at {step.v}) produced a tree with no code",
                 partial.to_obj(),
             )
         codes.append(after)
-    return BuildTrace(initial, steps, t, tuple(codes))
+    return BuildTrace(initial, tuple(steps), t, tuple(codes))
+
+
+def generate_family_T(initial: int, steps) -> BuildTrace:
+    """Build a tree from a legal starting path by a step sequence, checking
+    every precondition and re-verifying that each stage admits a code."""
+    pending = iter(steps)
+    return _grow(initial, lambda t, code: next(pending, None))
 
 
 def random_family_T(seed: int, size_budget: int) -> BuildTrace:
@@ -222,47 +239,32 @@ def random_family_T(seed: int, size_budget: int) -> BuildTrace:
     parameter classes for which the grow arguments are known to preserve a
     code (A1/A3 lengths 0 or 3 mod 4, A4 split so both arms keep codes
     avoiding the junction).  Deterministic for a fixed seed.
+
+    The attachment vertex is drawn from the current stage's code.  Every
+    member of it is a legal attachment for all four operations: a member of
+    a set is never quasi-isolated with respect to it (see
+    `is_quasi_isolated`), so the A3/A4 condition excludes no candidate.
     """
     rng = random.Random(seed)
     initial = rng.choice([2, 3, 4, 6, 7, 8])
-    t = make_path(initial)
-    steps: list[TreeBuildStep] = []
     # parameter classes verified to preserve codes: endpoint attachments
     # with n = 0,1 mod 4 (the bridge covers the path head), interior
     # attachments whose two arms are both 0 or 3 mod 4
     a1_choices = [5, 8, 9, 12]
     a4_choices = [(7, 3), (9, 4), (13, 4), (15, 7), (15, 3)]
-    while True:
+
+    def next_step(t: Graph, code: frozenset[int]) -> TreeBuildStep | None:
         op = rng.choice(["A1", "A2", "A2", "A3", "A4"])
-        if op == "A2":
-            grow = 1
-        elif op == "A4":
+        n = k = None
+        if op == "A4":
             n, k = rng.choice(a4_choices)
-            grow = n
-        else:
+        elif op != "A2":
             n = rng.choice(a1_choices)
-            grow = n
-        if t.n + grow > size_budget:
-            break
-        candidates = []
-        for v in sorted(tree_tpc(t)):
-            forced = tree_tpc(t, force_include=v)
-            if forced is None:  # pragma: no cover - v came from a code
-                continue
-            if op in ("A3", "A4") and is_quasi_isolated(t, forced, v):
-                continue
-            candidates.append((v, forced))
-        if not candidates:
-            continue
-        v, forced = rng.choice(candidates)
-        step = (
-            TreeBuildStep("A2", v)
-            if op == "A2"
-            else TreeBuildStep(op, v, n, k if op == "A4" else None)
-        )
-        steps.append(step)
-        t = apply_step(t, forced, step)
-    return generate_family_T(initial, steps)
+        if t.n + (n or 1) > size_budget:
+            return None
+        return TreeBuildStep(op, rng.choice(sorted(code)), n, k)
+
+    return _grow(initial, next_step)
 
 
 # -- families without codes -----------------------------------------------------

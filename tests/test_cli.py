@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from zdcodes.cli import main
+
+TREE_GEN = Path(__file__).parent / "data" / "tree_gen"
 
 
 def run(capsys, *argv):
@@ -145,12 +148,31 @@ def test_tree_gen_trace(tmp_path, capsys):
     code, _, err = run(capsys, "tree-gen", "--trace", str(bad))
     assert code == 1 and "1 mod 4" in err
 
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"initial": 4, "steps": [{"op": "A2", "v": 99}]}))
+    code, _, err = run(capsys, "tree-gen", "--trace", str(outside))
+    assert code == 1 and "vertex 99 is not in the tree" in err
+
 
 def test_tree_gen_random_deterministic(capsys):
     code, out1, _ = run(capsys, "tree-gen", "--random", "42", "40", "--json")
     assert code == 0
     code, out2, _ = run(capsys, "tree-gen", "--random", "42", "40", "--json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (("--random", "42", "40", "--json"), "random_42_40.json"),
+        (("--random", "7", "30"), "random_7_30.txt"),
+    ],
+)
+def test_tree_gen_random_matches_recorded_output(capsys, argv, recorded):
+    # recorded before family growth became one pass with no replay
+    code, out, _ = run(capsys, "tree-gen", *argv)
+    assert code == 0
+    assert out == (TREE_GEN / recorded).read_text(encoding="utf-8")
 
 
 def test_tree_gen_output_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_solver import gnp_graphs
 from zdcodes import graphs
@@ -22,6 +23,7 @@ from zdcodes.graphs import (
     make_star,
 )
 from zdcodes.rings import make_zn
+from zdcodes.trees import prufer_to_tree
 from zdcodes.zdg import zero_divisor_graph
 
 
@@ -214,6 +216,34 @@ def _ours(g: Graph):
 @given(gnp_graphs(max_n=20))
 def test_metrics_match_networkx_on_random_graphs(g):
     assert _ours(g) == _nx_reference(g)
+
+
+@st.composite
+def near_trees(draw, max_n=20):
+    """A Pruefer tree on 1..max_n vertices, kept whole, less one edge or
+    plus one edge."""
+    n = draw(st.integers(1, max_n))
+    length = max(n - 2, 0)
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
+    edges = list(prufer_to_tree(seq).edges) if n > 1 else []
+    change = draw(st.sampled_from(["keep", "drop", "add"]))
+    if change == "drop" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    absent = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    if change == "add" and absent:
+        edges.append(draw(st.sampled_from(absent)))
+    return Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gnp_graphs(max_n=20).filter(lambda g: g.n >= 1), near_trees()))
+def test_is_tree_matches_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    expected = nx.is_tree(h)
+    assert g.is_tree() == expected
+    assert g.is_tree() == expected  # answered from the cache
 
 
 def test_metrics_match_networkx_on_zero_divisor_graphs():

@@ -1,7 +1,12 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_solver import gnp_graphs
 from zdcodes import trees
-from zdcodes.graphs import make_complete, make_cycle, make_path
+from zdcodes.graphs import Graph, make_complete, make_cycle, make_path
 from zdcodes.tpc import is_total_perfect_code, tree_tpc
 from zdcodes.trees import (
     BuildTrace,
@@ -64,6 +69,15 @@ def test_quasi_isolated():
     p2 = make_path(2)
     assert not is_quasi_isolated(p2, {0, 1}, 0)
     assert not is_quasi_isolated(p2, {0, 1}, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_members_of_a_set_are_never_quasi_isolated(data):
+    g = data.draw(gnp_graphs(max_n=14))
+    s = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    for v in s:
+        assert not is_quasi_isolated(g, s, v)
 
 
 def test_leaf_and_support():
@@ -149,6 +163,77 @@ def test_random_family_deterministic():
     assert a.to_obj() == b.to_obj()
     assert a.graph.edges == b.graph.edges
     assert tree_tpc(a.graph) is not None
+
+
+def _reference_generate_family_T(initial, steps):
+    """Replay as it was before growth became one pass: a forced code per
+    step, then one solve per stage."""
+    t = make_path(initial)
+    t = Graph(t.n, t.edges, name=f"familyT({initial})")
+    steps = tuple(steps)
+    codes = [tree_tpc(t)]
+    for step in steps:
+        t = apply_step(t, tree_tpc(t, force_include=step.v), step)
+        codes.append(tree_tpc(t))
+    return BuildTrace(initial, steps, t, tuple(codes))
+
+
+def _reference_random_family_T(seed, size_budget):
+    """The random build before growth became one pass: a forced code and an
+    A3/A4 quasi-isolation test for every candidate, then a full replay."""
+    rng = random.Random(seed)
+    initial = rng.choice([2, 3, 4, 6, 7, 8])
+    t = make_path(initial)
+    steps = []
+    a1_choices = [5, 8, 9, 12]
+    a4_choices = [(7, 3), (9, 4), (13, 4), (15, 7), (15, 3)]
+    while True:
+        op = rng.choice(["A1", "A2", "A2", "A3", "A4"])
+        if op == "A2":
+            grow = 1
+        elif op == "A4":
+            n, k = rng.choice(a4_choices)
+            grow = n
+        else:
+            n = rng.choice(a1_choices)
+            grow = n
+        if t.n + grow > size_budget:
+            break
+        candidates = []
+        for v in sorted(tree_tpc(t)):
+            forced = tree_tpc(t, force_include=v)
+            if op in ("A3", "A4") and is_quasi_isolated(t, forced, v):
+                continue
+            candidates.append((v, forced))
+        if not candidates:
+            continue
+        v, forced = rng.choice(candidates)
+        step = (
+            TreeBuildStep("A2", v)
+            if op == "A2"
+            else TreeBuildStep(op, v, n, k if op == "A4" else None)
+        )
+        steps.append(step)
+        t = apply_step(t, forced, step)
+    return _reference_generate_family_T(initial, steps)
+
+
+@pytest.mark.parametrize("budget", [40, 120])
+def test_random_family_matches_per_candidate_reference(budget):
+    for seed in range(200):
+        got = random_family_T(seed, budget)
+        ref = _reference_random_family_T(seed, budget)
+        assert got.to_obj() == ref.to_obj(), seed
+        assert got.graph.edges == ref.graph.edges
+        assert got.graph.name == ref.graph.name
+        assert got.codes == ref.codes
+
+
+def test_growth_reports_a_stage_without_code():
+    # a chooser that grows a codeless stage gets the finding, not a crash
+    with pytest.raises(FamilyTraceFinding) as exc:
+        trees._grow(4, lambda t, code: TreeBuildStep("A1", 1, 7))
+    assert exc.value.trace_obj == {"initial": 4, "steps": [{"op": "A1", "v": 1, "n": 7}]}
 
 
 def test_trace_serialization_round_trip():
