@@ -45,7 +45,6 @@ from .tpc import (
     tree_tpc,
 )
 from .zdg import (
-    RingVerdict,
     ZdGraph,
     cap_ann,
     count_zero_divisors,
@@ -102,7 +101,6 @@ __all__ = [
     "path_decider",
     "regular_parity_check",
     "tree_tpc",
-    "RingVerdict",
     "ZdGraph",
     "cap_ann",
     "count_zero_divisors",

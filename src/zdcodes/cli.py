@@ -25,8 +25,11 @@ from .graphs import (
 )
 from .rings import RingError
 from .tpc import (
+    DeciderResult,
+    Verdict,
     complete_bipartite_code,
     complete_decider,
+    consensus,
     cycle_code,
     cycle_decider,
     find_tpc,
@@ -60,15 +63,15 @@ ENV_HELP = "\n".join(f"  {k}: {v}" for k, v in config.ENV_VARS.items())
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config.set_override(None)
-    if args.config:
-        try:
-            config.set_override(
-                config.Settings().merged_with_file(args.config).merged_with_env()
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return 1
+    try:
+        settings = config.Settings()
+        if args.config:
+            settings = settings.merged_with_file(args.config)
+        settings = settings.merged_with_env()
+    except (OSError, ValueError) as exc:
+        print(f"error: bad settings: {exc}", file=sys.stderr)
+        return 1
+    config.set_override(settings)  # read once per call; cleared on return
     try:
         return args.func(args)
     except (ringexpr.ParseError, ringexpr.ResolveError, RingError) as exc:
@@ -230,137 +233,73 @@ def _parse_graph_target(target: str) -> tuple[graphs.Graph, dict] | None:
     return None
 
 
-def _graph_deciders(target: str, g: graphs.Graph, meta: dict, bound: int | None) -> list[dict]:
-    out = []
+def decide(target: str, bound: int | None = None) -> Verdict:
+    """Parse a graph target or a ring expression, run every route that
+    applies and join them by the one consensus rule.  On a graph target
+    `bound` only sets where the exact search starts to warn; on a ring it
+    is the largest graph the exact search runs on (see `zdg.decide_ring`).
+    """
+    parsed = _parse_graph_target(target)
+    if parsed is None:
+        return zdg.decide_ring(ringexpr.ring_from_text(target), bound)
+    g, meta = parsed
     head = target.split(":")[0]
     exact = find_tpc(g, bound=bound if bound is not None else max(64, g.n))
+    routes = []
     if head == "path":
-        n = g.n
-        code = path_code(n) if path_decider(n) else None
-        out.append({"id": "path-congruence", "admits": path_decider(n), "witness": code})
+        admits = path_decider(g.n)
+        routes.append(("path-congruence", admits, path_code(g.n) if admits else None))
     elif head == "cycle":
-        n = g.n
-        code = cycle_code(n) if cycle_decider(n) else None
-        out.append({"id": "cycle-congruence", "admits": cycle_decider(n), "witness": code})
+        admits = cycle_decider(g.n)
+        routes.append(("cycle-congruence", admits, cycle_code(g.n) if admits else None))
     elif head == "complete":
-        out.append({"id": "complete-size", "admits": complete_decider(g.n), "witness": None})
+        routes.append(("complete-size", complete_decider(g.n), None))
     elif head in ("kmn", "star"):
         code = complete_bipartite_code(meta["m"], meta["n"])
-        out.append({"id": "complete-bipartite-construction", "admits": True, "witness": code})
+        routes.append(("complete-bipartite-construction", True, code))
     elif head == "fig1":
         known = frozenset({0, 1, 6, 7})
-        out.append(
-            {
-                "id": "fixture-code",
-                "admits": is_total_perfect_code(g, known),
-                "witness": known,
-            }
-        )
+        routes.append(("fixture-code", is_total_perfect_code(g, known), known))
     if g.is_tree():
         code = tree_tpc(g)
-        out.append({"id": "tree-solver", "admits": code is not None, "witness": code})
+        routes.append(("tree-solver", code is not None, code))
     parity = regular_parity_check(g)
     if parity is not None:
-        out.append({"id": "regular-parity", "admits": parity, "witness": None})
-    out.append({"id": "exact-search", "admits": exact is not None, "witness": exact})
-    for d in out:
-        if d["witness"] is not None:
-            d["witness"] = sorted(d["witness"])
-    return out
+        routes.append(("regular-parity", parity, None))
+    routes.append(("exact-search", exact is not None, exact))
+    results = [DeciderResult(*route).named() for route in routes]
+    return consensus(target, results, cross_checked=True, graph=g)
 
 
 def cmd_tpc_decide(args) -> int:
-    parsed = _parse_graph_target(args.target)
-    if parsed is not None:
-        g, meta = parsed
-        deciders = _graph_deciders(args.target, g, meta, args.bound)
-        answers = {d["admits"] for d in deciders}
-        consensus = len(answers) == 1
-        witness = next((d["witness"] for d in deciders if d["admits"] and d["witness"]), None)
-        result = {
-            "target": args.target,
-            "admits": deciders[-1]["admits"],
-            "witness": witness,
-            "deciders": deciders,
-            "consensus": consensus,
-        }
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            for d in deciders:
-                w = f" witness {d['witness']}" if d["witness"] else ""
-                print(f"  {d['id']}: {'admits' if d['admits'] else 'no code'}{w}")
-            verdictline = "admits" if result["admits"] else "does not admit"
-            print(
-                f"{args.target}: {verdictline} "
-                f"({'consensus' if consensus else 'DISCREPANCY'})"
-            )
-        return 0 if consensus else 2
-    return _decide_ring(args)
-
-
-def _decide_ring(args) -> int:
-    ring = ringexpr.ring_from_text(args.target)
-    z = zdg.zero_divisor_graph(ring)
-    bound = args.bound if args.bound is not None else max(config.current().solver_bound, 64)
-    deciders: list[dict] = []
-    if z.graph.n == 0:
-        deciders.append(
-            {"id": "field-vacuous", "admits": True, "witness": [], "note": "empty graph"}
-        )
-    else:
-        pair = zdg.tpc_pair_solver(z)
-        deciders.append(
-            {
-                "id": "exact-pair",
-                "admits": pair is not None,
-                "witness": sorted(ring.element_name(x) for x in pair) if pair else None,
-            }
-        )
-        split = zdg.artinian_split(ring)
-        if split is not None:
-            locals_, fields_ = split
-            verdict = zdg.mixed_decider(locals_, fields_)
-            deciders.append(
-                {
-                    "id": "structural:" + "+".join(d.decider_id for d in verdict.deciders),
-                    "admits": verdict.admits,
-                    "witness": list(verdict.witness_names) if verdict.witness_names else None,
-                    "note": "witness in decomposed coordinates" if verdict.witness_names else None,
-                }
-            )
-        if z.graph.n <= bound:
-            exact = zdg.ring_code_exact(z, bound=bound)
-            deciders.append(
-                {
-                    "id": "exact-search",
-                    "admits": exact is not None,
-                    "witness": sorted(ring.element_name(x) for x in exact) if exact else None,
-                }
-            )
-    answers = {d["admits"] for d in deciders}
-    consensus = len(answers) == 1
-    admits = deciders[0]["admits"]
-    witness = next((d["witness"] for d in deciders if d["admits"] and d.get("witness")), None)
+    verdict = decide(args.target, args.bound)
+    obj = verdict.to_obj()
+    for d in obj["deciders"]:
+        if d["id"] == "field-vacuous":
+            d["note"] = "empty graph"
+        elif d["id"].startswith("structural:"):
+            d["note"] = "witness in decomposed coordinates" if d["witness"] else None
     result = {
-        "ring": ring.name,
-        "admits": admits,
-        "witness": witness,
-        "deciders": deciders,
-        "consensus": consensus,
-        "vertices": z.graph.n,
+        "admits": verdict.admits,
+        "witness": obj["witness"] or None,
+        "deciders": obj["deciders"],
+        "consensus": not verdict.discrepancy,
     }
+    if isinstance(verdict.graph, zdg.ZdGraph):
+        result.update(ring=verdict.name, vertices=verdict.graph.graph.n)
+    else:
+        result["target"] = verdict.name
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        for d in deciders:
-            w = f" witness {d['witness']}" if d.get("witness") else ""
+        for d in result["deciders"]:
+            w = f" witness {d['witness']}" if d["witness"] else ""
             print(f"  {d['id']}: {'admits' if d['admits'] else 'no code'}{w}")
         print(
-            f"{ring.name}: {'admits' if admits else 'does not admit'} "
-            f"({'consensus' if consensus else 'DISCREPANCY'})"
+            f"{verdict.name}: {'admits' if verdict.admits else 'does not admit'} "
+            f"({'DISCREPANCY' if verdict.discrepancy else 'consensus'})"
         )
-    return 0 if consensus else 2
+    return 2 if verdict.discrepancy else 0
 
 
 def cmd_verify(args) -> int:

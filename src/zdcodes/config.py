@@ -1,16 +1,17 @@
 """Runtime limits.
 
 Every cap can be overridden by an environment variable or (for the CLI) a
-JSON config file; other variables and keys are ignored.  Defaults are
-generous: no ring in the shipped catalogs has more than a few hundred
-elements.
+JSON config file; other variables and keys are ignored, and a value that is
+not a non-negative integer is a ValueError naming its variable or key.
+Defaults are generous: no ring in the shipped catalogs has more than a few
+hundred elements.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 ENV_PREFIX = "ZDCODES_"
 
@@ -23,6 +24,20 @@ ENV_VARS = {
 }
 
 
+def _cap(raw, source: str) -> int:
+    """A cap value as an int; anything but a non-negative integer (or its
+    decimal text) is a ValueError that names `source`."""
+    value = None
+    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        try:
+            value = int(raw)
+        except ValueError:
+            pass
+    if value is None or value < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Settings:
     ring_cap: int = 4096
@@ -32,24 +47,26 @@ class Settings:
 
     def merged_with_env(self) -> "Settings":
         out = self
-        for field, key in (
-            ("ring_cap", "RING_CAP"),
-            ("table_cache_cap", "TABLE_CACHE_CAP"),
-            ("solver_bound", "SOLVER_BOUND"),
-            ("enum_bound", "ENUM_BOUND"),
-        ):
-            raw = os.environ.get(ENV_PREFIX + key)
+        for f in fields(self):
+            var = ENV_PREFIX + f.name.upper()
+            raw = os.environ.get(var)
             if raw is not None:
-                out = replace(out, **{field: int(raw)})
+                out = replace(out, **{f.name: _cap(raw, var)})
         return out
 
     def merged_with_file(self, path: str) -> "Settings":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"config file {path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path}: expected a JSON object")
         out = self
-        for field in ("ring_cap", "table_cache_cap", "solver_bound", "enum_bound"):
-            if field in data:
-                out = replace(out, **{field: int(data[field])})
+        for f in fields(self):
+            if f.name in data:
+                value = _cap(data[f.name], f"config file {path}: key {f.name!r}")
+                out = replace(out, **{f.name: value})
         return out
 
 
@@ -57,7 +74,9 @@ _override: Settings | None = None
 
 
 def set_override(settings: Settings | None) -> None:
-    """Install process-local settings (the CLI's --config); None clears."""
+    """Install process-local settings; None clears.  The CLI installs the
+    defaults merged with its --config file and the environment, once per
+    call."""
     global _override
     _override = settings
 

@@ -14,6 +14,7 @@ instance-key order, never completion order, so output is deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -112,6 +113,19 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _timed(suite):
+    """Run a suite and record its wall time on the report it returns."""
+
+    @functools.wraps(suite)
+    def run(*args, **kwargs) -> SuiteReport:
+        t0 = time.perf_counter()
+        rep = suite(*args, **kwargs)
+        rep.wall_time_s = time.perf_counter() - t0
+        return rep
+
+    return run
+
+
 def _is_complete_bipartite(g: Graph) -> bool:
     if g.n < 2 or not g.is_connected():
         return False
@@ -145,9 +159,9 @@ def _matching_identity_checks(g: Graph, code, report: SuiteReport, instance: str
 # -- paths / cycles -------------------------------------------------------------
 
 
+@_timed
 def suite_paths(max_n: int = 24) -> SuiteReport:
     rep = SuiteReport("paths")
-    t0 = time.perf_counter()
     for n in range(2, max_n + 1):
         g = make_path(n)
         exact = find_tpc(g, bound=max(config.current().solver_bound, n))
@@ -170,13 +184,12 @@ def suite_paths(max_n: int = 24) -> SuiteReport:
                 )
                 continue
         rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
+@_timed
 def suite_cycles(max_n: int = 24) -> SuiteReport:
     rep = SuiteReport("cycles")
-    t0 = time.perf_counter()
     for n in range(3, max_n + 1):
         g = make_cycle(n)
         exact = find_tpc(g, bound=max(config.current().solver_bound, n))
@@ -192,13 +205,13 @@ def suite_cycles(max_n: int = 24) -> SuiteReport:
             if not _matching_identity_checks(g, code, rep, f"cycle:{n}"):
                 continue
         rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- trees ----------------------------------------------------------------------
 
 
+@_timed
 def suite_trees(
     samples: int = 1000,
     max_vertices: int = 12,
@@ -211,7 +224,6 @@ def suite_trees(
     import random
 
     rep = SuiteReport("trees")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     for i in range(samples):
         n = rng.randint(2, max_vertices)
@@ -263,7 +275,6 @@ def suite_trees(
         rep.finding(f"probe:{probe_max}", f)
     if not findings:
         rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -285,7 +296,7 @@ def _zn_instance(n: int) -> dict:
         )
     if g.n >= 2:
         d = diameter(g)
-        if not g.is_connected() or d > 3:
+        if d > 3:  # inf when disconnected
             out["problems"].append(f"graph not connected with diameter <= 3 (diameter {d})")
     if 1 <= g.n <= config.current().enum_bound:
         for code in enumerate_tpcs(g):
@@ -297,9 +308,9 @@ def _zn_instance(n: int) -> dict:
     return out
 
 
+@_timed
 def suite_zn_sweep(min_n: int = 4, max_n: int = 200, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport("zn-sweep")
-    t0 = time.perf_counter()
     ns = list(range(min_n, max_n + 1))
     results = _fan_out(_zn_instance, ns, jobs)
     anchors = {12: True, 9: True}
@@ -312,7 +323,6 @@ def suite_zn_sweep(min_n: int = 4, max_n: int = 200, jobs: int = 1) -> SuiteRepo
             rep.finding(instance, f"anchor expectation {anchors[n]} violated")
             continue
         rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -330,9 +340,9 @@ def local_catalog() -> list:
     return rings
 
 
+@_timed
 def suite_local_catalog() -> SuiteReport:
     rep = SuiteReport("local-catalog")
-    t0 = time.perf_counter()
     for ring in local_catalog():
         instance = ring.name
         verdict = zdg.local_decider(ring, bound=max(config.current().solver_bound, ring.order))
@@ -344,7 +354,6 @@ def suite_local_catalog() -> SuiteReport:
             rep.finding(instance, "; ".join(report.findings))
             continue
         rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -352,9 +361,9 @@ def _field_pool() -> list:
     return [make_zn(2), make_zn(3), make_gf(2, 2), make_zn(5), make_zn(7), make_gf(3, 2)]
 
 
+@_timed
 def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
     rep = SuiteReport("reduced-products")
-    t0 = time.perf_counter()
     cap = config.current().ring_cap
     pool = _field_pool()
     for k in range(2, max_factors + 1):
@@ -386,7 +395,6 @@ def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
             rep.finding(instance, f"expected admits={admits}")
         else:
             rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -436,9 +444,9 @@ def _mixed_instances(max_order: int):
                     yield lc, fc
 
 
+@_timed
 def suite_mixed_products(max_order: int = 512, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport("mixed-products")
-    t0 = time.perf_counter()
     instances = list(_mixed_instances(max_order))
     results = _fan_out(_mixed_instance, instances, jobs)
     for out in results:
@@ -454,7 +462,6 @@ def suite_mixed_products(max_order: int = 512, jobs: int = 1) -> SuiteReport:
             )
             continue
         rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -497,9 +504,9 @@ def _pair_completeness_problems(z: zdg.ZdGraph, admits: bool) -> list[str]:
     return problems
 
 
+@_timed
 def suite_counting() -> SuiteReport:
     rep = SuiteReport("counting")
-    t0 = time.perf_counter()
     smallest = {
         "R1xF": [make_zn(4), make_zn(2)],
         "R1xR2": [make_zn(4), make_zn(4)],
@@ -552,13 +559,12 @@ def suite_counting() -> SuiteReport:
             rep.finding(instance, f"closed {closed} != enumerated {report.enumerated}")
         else:
             rep.agree()
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
+@_timed
 def suite_fixtures() -> SuiteReport:
     rep = SuiteReport("fixtures")
-    t0 = time.perf_counter()
     for slug in tables.EXCEPTIONAL_SEVEN:
         ring = tables.catalog_ring(slug)
         z = zdg.zero_divisor_graph(ring)
@@ -620,7 +626,6 @@ def suite_fixtures() -> SuiteReport:
             rep.agree()
         else:
             rep.finding(instance, "CRT bijection does not preserve the operations")
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 

@@ -5,7 +5,9 @@ A total perfect code (efficient open dominating set) is a vertex set C with
 the verifier, the exact oracle (an exact-cover search, see `kernels`), a
 linear tree dynamic program and the closed-form deciders for paths,
 cycles, complete and complete bipartite graphs, each returning a
-constructive code that the verifier accepts.
+constructive code that the verifier accepts.  It also holds the verdict
+type every decider returns and `consensus`, the one rule that joins the
+routes run on an instance.
 
 Conventions (degenerate inputs are legal everywhere):
 
@@ -18,7 +20,7 @@ Conventions (degenerate inputs are legal everywhere):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import config, kernels
 from .graphs import Graph, GraphError, make_complete_bipartite
@@ -27,17 +29,90 @@ CodeSet = frozenset
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Outcome of one decider on one instance."""
+class DeciderResult:
+    """One route's answer on one instance.  `witness` holds the vertex or
+    element ids the route found; `witness_names` is that witness as
+    printed, sorted, named in the graph or ring the route ran on."""
 
+    decider_id: str
+    admits: bool
+    witness: frozenset[int] | None = None
+    witness_names: tuple | None = None
+
+    def named(self, name=int) -> "DeciderResult":
+        """Name the witness; `name` maps one id to its printed name (the
+        default keeps vertex ids)."""
+        if self.witness is None:
+            return self
+        return replace(self, witness_names=tuple(sorted(name(x) for x in self.witness)))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The routes run on one instance and the answer they give together
+    (see `consensus`)."""
+
+    name: str
     admits: bool
     witness: frozenset[int] | None
-    decider_id: str
-    cross_checked: bool = False
+    witness_names: tuple | None
+    deciders: tuple[DeciderResult, ...]
+    cross_checked: bool
+    discrepancy: bool
+    notes: tuple[str, ...] = ()
+    #: the graph the routes ran on, None when no route needed one
+    graph: object = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.admits and self.witness is None:
-            raise ValueError("an admitting verdict needs a witness")
+    def to_obj(self) -> dict:
+        """The verdict as JSON; `ring` holds the instance name."""
+        return {
+            "ring": self.name,
+            "admits": self.admits,
+            "witness": list(self.witness_names) if self.witness_names is not None else None,
+            "deciders": [
+                {
+                    "id": d.decider_id,
+                    "admits": d.admits,
+                    "witness": list(d.witness_names) if d.witness_names is not None else None,
+                }
+                for d in self.deciders
+            ],
+            "cross_checked": self.cross_checked,
+            "discrepancies": list(self.notes) if self.discrepancy else [],
+        }
+
+
+def consensus(
+    name: str,
+    results,
+    cross_checked: bool,
+    notes: tuple[str, ...] = (),
+    graph=None,
+) -> Verdict:
+    """The one rule that joins routes: when they agree, that is the answer;
+    when they disagree, the first route whose id starts with "exact" wins
+    and the verdict is flagged.  The witness is that of the first admitting
+    route that has one."""
+    results = tuple(results)
+    answers = {r.admits for r in results}
+    discrepancy = len(answers) > 1
+    oracle = next((r for r in results if r.decider_id.startswith("exact")), results[0])
+    chosen = next((r for r in results if r.admits and r.witness is not None), None)
+    if discrepancy:
+        notes = notes + tuple(
+            f"decider {r.decider_id} says {'admits' if r.admits else 'no code'}" for r in results
+        )
+    return Verdict(
+        name=name,
+        admits=oracle.admits,
+        witness=chosen.witness if chosen else None,
+        witness_names=chosen.witness_names if chosen else None,
+        deciders=results,
+        cross_checked=cross_checked,
+        discrepancy=discrepancy,
+        notes=notes,
+        graph=graph,
+    )
 
 
 def is_total_perfect_code(g: Graph, code) -> bool:

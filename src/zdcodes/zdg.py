@@ -19,7 +19,7 @@ empty witness and a note.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config, kernels
 from .graphs import Graph, LazyLabels, articulation_points
@@ -32,7 +32,7 @@ from .rings import (
     make_zn,
     product_encode,
 )
-from .tpc import find_tpc, is_total_perfect_code
+from .tpc import DeciderResult, Verdict, consensus, find_tpc
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class ZdGraph:
     ring: FiniteRing
     graph: Graph
     elements: tuple[int, ...]  # vertex index -> ring element
-
-    def vertex_of(self, element: int) -> int:
-        return self.elements.index(element)
 
     def to_elements(self, vertices) -> frozenset[int]:
         return frozenset(self.elements[v] for v in vertices)
@@ -102,102 +99,35 @@ def ring_code_exact(z: ZdGraph, bound: int | None = None) -> frozenset[int] | No
     return z.to_elements(code) if code is not None else None
 
 
-# -- verdicts -----------------------------------------------------------------
+def is_code_pair(ring: FiniteRing, a: int, b: int) -> bool:
+    """{a, b} is a total perfect code of Gamma(R), by ring arithmetic alone:
+    the neighbourhoods cap_ann(a) and cap_ann(b) are disjoint and together
+    are all of Z*(R)."""
+    na, nb = cap_ann(ring, a), cap_ann(ring, b)
+    return not (na & nb) and na | nb == ring.zero_divisors_nonzero
 
 
-@dataclass(frozen=True)
-class DeciderResult:
-    decider_id: str
-    admits: bool
-    witness: frozenset[int] | None = None  # ring elements
-    witness_names: tuple[str, ...] | None = None
-
-    def named(self, ring: FiniteRing) -> "DeciderResult":
-        names = (
-            tuple(sorted(ring.element_name(x) for x in self.witness))
-            if self.witness is not None
-            else None
-        )
-        return DeciderResult(self.decider_id, self.admits, self.witness, names)
-
-
-@dataclass(frozen=True)
-class RingVerdict:
-    ring_name: str
-    admits: bool
-    witness: frozenset[int] | None
-    witness_names: tuple[str, ...] | None
-    deciders: tuple[DeciderResult, ...]
-    cross_checked: bool
-    discrepancy: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
-    #: the graph the routes ran on, None when no route needed one
-    graph: ZdGraph | None = field(default=None, compare=False, repr=False)
-
-    def to_obj(self) -> dict:
-        return {
-            "ring": self.ring_name,
-            "admits": self.admits,
-            "witness": list(self.witness_names) if self.witness_names is not None else None,
-            "deciders": [
-                {
-                    "id": d.decider_id,
-                    "admits": d.admits,
-                    "witness": list(d.witness_names) if d.witness_names is not None else None,
-                }
-                for d in self.deciders
-            ],
-            "cross_checked": self.cross_checked,
-            "discrepancies": list(self.notes) if self.discrepancy else [],
-        }
-
-
-def _assemble_verdict(
-    ring: FiniteRing,
-    results: list[DeciderResult],
-    cross_checked: bool,
-    notes: tuple[str, ...] = (),
-    graph: ZdGraph | None = None,
-) -> RingVerdict:
-    answers = {r.admits for r in results}
-    discrepancy = len(answers) > 1
-    oracle = next((r for r in results if r.decider_id.startswith("exact")), results[0])
-    admits = oracle.admits if discrepancy else answers.pop()
-    witness = None
-    for r in results:
-        if r.admits and r.witness is not None:
-            witness = r.witness
-            break
-    if discrepancy:
-        notes = notes + tuple(
-            f"decider {r.decider_id} says {'admits' if r.admits else 'no code'}" for r in results
-        )
-    names = tuple(sorted(ring.element_name(x) for x in witness)) if witness is not None else None
-    return RingVerdict(
-        ring_name=ring.name,
-        admits=admits,
-        witness=witness,
-        witness_names=names,
-        deciders=tuple(r.named(ring) for r in results),
-        cross_checked=cross_checked,
-        discrepancy=discrepancy,
-        notes=notes,
-        graph=graph,
-    )
+def _route(ring: FiniteRing, decider_id: str, admits: bool, witness=None) -> DeciderResult:
+    """One route's result, its witness named in `ring`, where it was found."""
+    return DeciderResult(decider_id, admits, witness).named(ring.element_name)
 
 
 # -- local rings ---------------------------------------------------------------
 
 
-def local_decider(ring: FiniteRing, bound: int | None = None) -> RingVerdict:
+def local_decider(
+    ring: FiniteRing, bound: int | None = None, graph: ZdGraph | None = None
+) -> Verdict:
     """Three independent routes for a local non-field ring: the annihilator
     criterion (some |ann(x)| = 2 with |Z(R)| >= 3, or a two-vertex graph
     whose vertices annihilate each other), the degree-one criterion, and
     the exact pair sweep.  All must agree or the verdict is flagged.
+    `graph` is Gamma of a ring isomorphic to `ring` when the caller has
+    built one; the graph routes then run on it.
     """
     if not ring.is_local or ring.is_field:
         raise RingError(f"{ring.name} is not a local non-field ring")
-    z = zero_divisor_graph(ring)
+    z = graph if graph is not None else zero_divisor_graph(ring)
     zdivs = sorted(ring.zero_divisors_nonzero)
 
     structural_witness = None
@@ -215,20 +145,20 @@ def local_decider(ring: FiniteRing, bound: int | None = None) -> RingVerdict:
         clause_b = True
         structural_witness = frozenset(zdivs)
     if structural_witness is not None:
-        assert is_total_perfect_code(z.graph, {z.vertex_of(e) for e in structural_witness})
-    results = [
-        DeciderResult("ann-pair-structural", clause_a or clause_b, structural_witness),
-        DeciderResult("degree-one", bool(degree_one_vertices(z))),
-    ]
+        assert is_code_pair(ring, *structural_witness)
     pair = tpc_pair_solver(z)
-    results.append(DeciderResult("exact-pair", pair is not None, pair))
+    results = [
+        _route(ring, "ann-pair-structural", clause_a or clause_b, structural_witness),
+        DeciderResult("degree-one", bool(degree_one_vertices(z))),
+        _route(z.ring, "exact-pair", pair is not None, pair),
+    ]
     limit = bound if bound is not None else config.current().solver_bound
     cross = False
     if z.graph.n <= limit:
         exact = ring_code_exact(z, bound=limit)
-        results.append(DeciderResult("exact-search", exact is not None, exact))
+        results.append(_route(z.ring, "exact-search", exact is not None, exact))
         cross = True
-    return _assemble_verdict(ring, results, cross_checked=cross, graph=z)
+    return consensus(ring.name, results, cross_checked=cross, graph=z)
 
 
 def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
@@ -332,9 +262,10 @@ def _classify(factor: FiniteRing) -> str:
     return "other"
 
 
-def reduced_decider(factors, bound: int | None = None) -> RingVerdict:
+def reduced_decider(factors, graph: ZdGraph | None = None) -> Verdict:
     """Products of k >= 2 fields admit a code exactly for k = 2, witnessed
-    by (1,0),(0,1); cross-checked by the pair sweep on the built product.
+    by (1,0),(0,1); cross-checked by the pair sweep on the built product,
+    or on `graph`, Gamma of an isomorphic ring, when the caller has one.
     """
     factors = list(factors)
     for f in factors:
@@ -351,16 +282,17 @@ def reduced_decider(factors, bound: int | None = None) -> RingVerdict:
         e1 = product_encode(ring, (factors[0].one, 0))
         e2 = product_encode(ring, (0, factors[1].one))
         witness = frozenset({e1, e2})
-    results = [DeciderResult("field-count", k == 2, witness)]
-    z = zero_divisor_graph(ring)
-    if witness is not None:
-        assert is_total_perfect_code(z.graph, {z.vertex_of(e) for e in witness})
+        assert is_code_pair(ring, e1, e2)
+    z = graph if graph is not None else zero_divisor_graph(ring)
     pair = tpc_pair_solver(z)
-    results.append(DeciderResult("exact-pair", pair is not None, pair))
-    return _assemble_verdict(ring, results, cross_checked=True, graph=z)
+    results = [
+        _route(ring, "field-count", k == 2, witness),
+        _route(z.ring, "exact-pair", pair is not None, pair),
+    ]
+    return consensus(ring.name, results, cross_checked=True, graph=z)
 
 
-def mixed_decider(local_factors, field_factors, bound: int | None = None) -> RingVerdict:
+def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) -> Verdict:
     """Case analysis on m local non-field factors and n field factors.
 
     m=0 delegates to the reduced decider; m=1, n=0 to the local decider.
@@ -368,8 +300,9 @@ def mixed_decider(local_factors, field_factors, bound: int | None = None) -> Rin
     nonzero zero-divisor z, witnessed by (z,0),(0,1); the looser
     two-zero-divisor variant is refuted by the exact oracle (see the known
     findings manifest, entry local-field-zstar-two).  Every other shape
-    admits nothing.  The pair sweep cross-checks whenever the product is
-    within the ring cap.
+    admits nothing.  The pair sweep cross-checks on the product's graph, or
+    on `graph`, Gamma of an isomorphic ring, when the caller has one.  (The
+    product itself is built under the ring cap, so the check always runs.)
     """
     locals_ = list(local_factors)
     fields_ = list(field_factors)
@@ -387,21 +320,19 @@ def mixed_decider(local_factors, field_factors, bound: int | None = None) -> Rin
     if m + n < 1:
         raise RingError("at least one factor is required")
     if m == 1 and n == 0:
-        return local_decider(locals_[0], bound=bound)
+        return local_decider(locals_[0], graph=graph)
     if m == 0 and n == 1:
-        ring = fields_[0]
-        return _assemble_verdict(
-            ring,
-            [DeciderResult("field-vacuous", True, frozenset())],
+        return consensus(
+            fields_[0].name,
+            [DeciderResult("field-vacuous", True, frozenset(), ())],
             cross_checked=False,
             notes=("field: empty graph, the empty code holds vacuously",),
         )
     if m == 0:
-        return reduced_decider(fields_, bound=bound)
+        return reduced_decider(fields_, graph=graph)
 
     factors = locals_ + fields_
     ring = make_product(factors)
-    notes: tuple[str, ...] = ()
     witness = None
     if m == 1 and n == 1:
         admits = len(locals_[0].zero_divisors_nonzero) == 1
@@ -419,19 +350,15 @@ def mixed_decider(local_factors, field_factors, bound: int | None = None) -> Rin
         admits = False  # two local factors, any number of fields
     else:
         admits = False  # three or more local factors
-    results = [DeciderResult("artinian-case", admits, witness)]
-    cross = False
-    z = None
-    if ring.order <= config.current().ring_cap:
-        z = zero_divisor_graph(ring)
-        if witness is not None:
-            assert is_total_perfect_code(z.graph, {z.vertex_of(e) for e in witness})
-        pair = tpc_pair_solver(z)
-        results.append(DeciderResult("exact-pair", pair is not None, pair))
-        cross = True
-    else:
-        notes = notes + ("beyond the ring cap: structural decision only",)
-    return _assemble_verdict(ring, results, cross_checked=cross, notes=notes, graph=z)
+    if witness is not None:
+        assert is_code_pair(ring, *witness)
+    z = graph if graph is not None else zero_divisor_graph(ring)
+    pair = tpc_pair_solver(z)
+    results = [
+        _route(ring, "artinian-case", admits, witness),
+        _route(z.ring, "exact-pair", pair is not None, pair),
+    ]
+    return consensus(ring.name, results, cross_checked=True, graph=z)
 
 
 # -- decomposition for arbitrary rings ------------------------------------------
@@ -465,6 +392,31 @@ def artinian_split(ring: FiniteRing) -> tuple[list[FiniteRing], list[FiniteRing]
     if not walk(ring):
         return None
     return locals_, fields_
+
+
+def decide_ring(ring: FiniteRing, bound: int | None = None) -> Verdict:
+    """Every route on one ring, over one Gamma(R): the pair sweep, the
+    structural case analysis on the Artinian split (its own graph routes
+    read the same Gamma, the split being isomorphic to R), and the exact
+    search when Gamma has at most `bound` vertices (default: the solver
+    bound, at least 64).  A field's empty graph gets the vacuous route only.
+    """
+    z = zero_divisor_graph(ring)
+    if z.graph.n == 0:
+        vacuous = DeciderResult("field-vacuous", True, frozenset(), ())
+        return consensus(ring.name, [vacuous], cross_checked=False, graph=z)
+    pair = tpc_pair_solver(z)
+    results = [_route(ring, "exact-pair", pair is not None, pair)]
+    split = artinian_split(ring)
+    if split is not None:
+        v = mixed_decider(*split, graph=z)
+        route_id = "structural:" + "+".join(d.decider_id for d in v.deciders)
+        results.append(DeciderResult(route_id, v.admits, v.witness, v.witness_names))
+    limit = bound if bound is not None else max(config.current().solver_bound, 64)
+    if z.graph.n <= limit:
+        exact = ring_code_exact(z, bound=limit)
+        results.append(_route(ring, "exact-search", exact is not None, exact))
+    return consensus(ring.name, results, cross_checked=True, graph=z)
 
 
 # -- zero-divisor counting -------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from zdcodes.cli import main
 
 TREE_GEN = Path(__file__).parent / "data" / "tree_gen"
+DECIDE = Path(__file__).parent / "data" / "decide"
+DECIDE_RECORDS = json.loads((DECIDE / "recorded.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -110,6 +112,34 @@ def test_tpc_decide_graph_file(tmp_path, capsys):
     assert code == 0 and "admits" in out
 
 
+@pytest.mark.parametrize(
+    "record", DECIDE_RECORDS, ids=[" ".join(r["argv"][1:]) for r in DECIDE_RECORDS]
+)
+def test_tpc_decide_matches_recorded_output(capsys, monkeypatch, record):
+    # recorded before the routes were joined by one consensus rule over one
+    # graph per ring; the `file:` targets name graph files in the same folder
+    monkeypatch.chdir(DECIDE)
+    code, out, err = run(capsys, *record["argv"])
+    assert (code, out, err) == (record["exit_code"], record["stdout"], record["stderr"])
+
+
+@pytest.mark.parametrize("target", ["Z8", "Z12", "Z2 x Z8", "Z7"])
+def test_tpc_decide_builds_gamma_once(capsys, monkeypatch, target):
+    from zdcodes import zdg
+
+    built = []
+    real = zdg.zero_divisor_graph
+
+    def counting(ring):
+        built.append(ring.name)
+        return real(ring)
+
+    monkeypatch.setattr(zdg, "zero_divisor_graph", counting)
+    code, out, _ = run(capsys, "tpc-decide", target, "--json")
+    assert code == 0 and json.loads(out)["consensus"]
+    assert len(built) == 1, built
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "paths", "--max-n", "12")
     assert code == 0
@@ -199,6 +229,65 @@ def test_config_file(tmp_path, capsys):
     # the override is process-local and cleared once the command returns
     code, _, _ = run(capsys, "ring-info", "Z12")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "var, value, argv",
+    [
+        ("ZDCODES_RING_CAP", "abc", ("tpc-decide", "Z12")),
+        ("ZDCODES_ENUM_BOUND", "-1", ("verify", "zn-sweep", "--max-n", "20", "--jobs", "1")),
+        ("ZDCODES_SOLVER_BOUND", "2.5", ("ring-info", "Z4")),
+    ],
+)
+def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and var in err and repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["many", -3, 4.5, True, None])
+def test_bad_config_value_is_named(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ring_cap": 64, "solver_bound": value}))
+    code, out, err = run(capsys, "--config", str(cfg), "tpc-decide", "Z12")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "'solver_bound'" in err and str(cfg) in err
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "{not json"])
+def test_bad_config_file_is_named(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfg), "ring-info", "Z4")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and str(cfg) in err
+
+
+def test_settings_are_read_once_per_call(capsys, monkeypatch):
+    from zdcodes import config
+
+    reads = []
+    real = config.Settings.merged_with_env
+
+    def counting(self):
+        reads.append(1)
+        return real(self)
+
+    monkeypatch.setattr(config.Settings, "merged_with_env", counting)
+    monkeypatch.setenv("ZDCODES_RING_CAP", "4000")
+    code, out, _ = run(capsys, "verify", "mixed-products", "--max-order", "16", "--jobs", "1")
+    assert code == 0 and "0 unexpected" in out
+    assert len(reads) == 1
+    assert config.current().ring_cap == 4000  # the override is cleared again
+
+
+def test_suites_record_wall_time_when_called_directly():
+    from zdcodes import suites
+
+    rep = suites.suite_cycles(max_n=12)
+    assert rep.suite == "cycles" and rep.instances == 10
+    assert rep.wall_time_s > 0 and suites.suite_cycles.__name__ == "suite_cycles"
 
 
 def test_catalog_ring_through_expression(capsys):

@@ -14,10 +14,12 @@ from zdcodes.graphs import (
     make_star,
 )
 from zdcodes.tpc import (
+    DeciderResult,
     EnumerationBoundError,
     NotATreeError,
     complete_bipartite_code,
     complete_decider,
+    consensus,
     cycle_code,
     cycle_decider,
     end_vertex_analysis,
@@ -254,3 +256,22 @@ def test_end_vertex_probe():
 
     rep = end_vertex_analysis(make_path(5))
     assert not rep.tpc_exists and rep.codes_checked == 0
+
+
+def test_consensus_rule():
+    code = DeciderResult("structural", True, frozenset({2, 1})).named()
+    assert code.witness_names == (1, 2)
+    # agreement: that answer; the witness is the first admitting one that has one
+    v = consensus("G", [DeciderResult("parity", True), code], cross_checked=True)
+    assert v.admits and not v.discrepancy and v.witness == {1, 2} and not v.notes
+    # disagreement: the first exact route wins and the verdict is flagged
+    routes = [code, DeciderResult("exact-pair", False), DeciderResult("exact-search", True)]
+    v = consensus("G", routes, cross_checked=True)
+    assert v.discrepancy and not v.admits and v.witness_names == (1, 2)
+    assert "decider exact-pair says no code" in v.notes
+    assert v.to_obj()["discrepancies"] == list(v.notes)
+    # no exact route: the first route wins
+    v = consensus("G", [DeciderResult("a", False), code], cross_checked=False)
+    assert v.discrepancy and not v.admits
+    v = consensus("G", [DeciderResult("vacuous", True, frozenset(), ())], cross_checked=False)
+    assert v.admits and v.witness == frozenset() and v.witness_names == ()

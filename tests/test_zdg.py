@@ -247,3 +247,43 @@ def test_exact_search_agrees_on_small_gammas():
         assert (pair is None) == (exact is None)
         if exact is not None:
             assert len(exact) == 2
+
+
+def test_code_pair_check_matches_verifier():
+    # the ring-arithmetic witness check against the graph verifier, on every
+    # edge of every mixed-catalog product of order at most 64
+    from zdcodes import suites
+    from zdcodes.tpc import is_total_perfect_code
+
+    lpool, fpool = suites._mixed_pools()
+    edges = codes = 0
+    for lc, fc in suites._mixed_instances(64):
+        ring = make_product([lpool[i] for i in lc] + [fpool[i] for i in fc])
+        z = zero_divisor_graph(ring)
+        for a, b in z.graph.edges:
+            want = is_total_perfect_code(z.graph, {a, b})
+            assert zdg.is_code_pair(ring, z.elements[a], z.elements[b]) == want, (ring.name, a, b)
+            edges += 1
+            codes += want
+    assert edges > 1000 and codes > 0
+
+
+def test_decide_ring_routes():
+    v = zdg.decide_ring(make_zn(12))
+    assert [d.decider_id for d in v.deciders] == [
+        "exact-pair",
+        "structural:artinian-case+exact-pair",
+        "exact-search",
+    ]
+    assert v.admits and not v.discrepancy and v.witness_names == ("4", "6")
+    assert v.deciders[1].witness_names == ("(0,1)", "(2,0)")  # named in Z4 x Z3
+    assert v.graph.ring is not None and v.graph.graph.n == 7
+    # no Artinian split: the graph routes only
+    v = zdg.decide_ring(make_quotient(6, (0, 0, 1)))
+    assert [d.decider_id for d in v.deciders] == ["exact-pair", "exact-search"]
+    # above the bound the exact search is left out
+    v = zdg.decide_ring(make_zn(256), bound=100)
+    assert [d.decider_id for d in v.deciders][-1].startswith("structural:")
+    v = zdg.decide_ring(make_zn(7))
+    assert [d.decider_id for d in v.deciders] == ["field-vacuous"]
+    assert v.admits and v.witness == frozenset()
