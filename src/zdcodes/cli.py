@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import config, graphs, ringexpr, suites, tables, trees, zdg
 from .graphs import (
@@ -124,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--bound", type=int, default=None, help="exact-search vertex bound override")
+    p.add_argument(
+        "--bound", type=int, default=None, help="warn when the exact search runs on more vertices"
+    )
     p.set_defaults(func=cmd_tpc_decide)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -233,18 +236,29 @@ def _parse_graph_target(target: str) -> tuple[graphs.Graph, dict] | None:
     return None
 
 
+def _warn_above(vertices: int, bound: int | None) -> None:
+    if bound is not None and vertices > bound:
+        warnings.warn(
+            f"exact search on {vertices} vertices exceeds the bound {bound}; this may be slow",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def decide(target: str, bound: int | None = None) -> Verdict:
     """Parse a graph target or a ring expression, run every route that
-    applies and join them by the one consensus rule.  On a graph target
-    `bound` only sets where the exact search starts to warn; on a ring it
-    is the largest graph the exact search runs on (see `zdg.decide_ring`).
+    applies and join them by the one consensus rule.  The exact search
+    always runs; `bound` only sets the vertex count above which it warns.
     """
     parsed = _parse_graph_target(target)
     if parsed is None:
-        return zdg.decide_ring(ringexpr.ring_from_text(target), bound)
+        ring = ringexpr.ring_from_text(target)
+        _warn_above(len(ring.zero_divisors_nonzero), bound)
+        return zdg.decide_ring(ring)
     g, meta = parsed
+    _warn_above(g.n, bound)
     head = target.split(":")[0]
-    exact = find_tpc(g, bound=bound if bound is not None else max(64, g.n))
+    exact = find_tpc(g)
     routes = []
     if head == "path":
         admits = path_decider(g.n)
@@ -268,7 +282,7 @@ def decide(target: str, bound: int | None = None) -> Verdict:
         routes.append(("regular-parity", parity, None))
     routes.append(("exact-search", exact is not None, exact))
     results = [DeciderResult(*route).named() for route in routes]
-    return consensus(target, results, cross_checked=True, graph=g)
+    return consensus(target, results, graph=g)
 
 
 def cmd_tpc_decide(args) -> int:
@@ -299,6 +313,8 @@ def cmd_tpc_decide(args) -> int:
             f"{verdict.name}: {'admits' if verdict.admits else 'does not admit'} "
             f"({'DISCREPANCY' if verdict.discrepancy else 'consensus'})"
         )
+        for note in verdict.notes:
+            print(f"  {note}")
     return 2 if verdict.discrepancy else 0
 
 

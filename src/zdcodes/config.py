@@ -19,8 +19,6 @@ ENV_PREFIX = "ZDCODES_"
 ENV_VARS = {
     "ZDCODES_RING_CAP": "maximum ring order accepted by constructors (default 4096)",
     "ZDCODES_TABLE_CACHE_CAP": "largest ring order whose op tables are cached (default 256)",
-    "ZDCODES_SOLVER_BOUND": "vertex count above which the exact search warns (default 64)",
-    "ZDCODES_ENUM_BOUND": "vertex limit for full code enumeration (default 24)",
 }
 
 
@@ -42,8 +40,6 @@ def _cap(raw, source: str) -> int:
 class Settings:
     ring_cap: int = 4096
     table_cache_cap: int = 256
-    solver_bound: int = 64
-    enum_bound: int = 24
 
     def merged_with_env(self) -> "Settings":
         out = self

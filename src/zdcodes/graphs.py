@@ -184,11 +184,14 @@ class Graph:
 def diameter(g: Graph) -> int | float:
     """Longest shortest-path length; inf when disconnected, 0 for n <= 1.
     Each breadth-first search grows a bitmask frontier by OR-ing the
-    neighbourhood masks of its members."""
+    neighbourhood masks of its members.  Twins (equal neighbourhoods) are
+    at distance 2 and equally far from every other vertex, so one search
+    per distinct neighbourhood covers every eccentricity; with n >= 2 a
+    vertex without neighbours makes its own search return inf."""
     masks = g.neighbor_masks
     full = (1 << g.n) - 1
     best = 0
-    for v in range(g.n):
+    for v in dict(zip(masks, range(g.n))).values():
         seen = frontier = 1 << v
         depth = 0
         while True:
@@ -332,10 +335,17 @@ def to_json(g: Graph) -> str:
 
 
 def from_json_obj(obj: dict, name: str = "G") -> Graph:
-    labels = None
-    if "labels" in obj and obj["labels"] is not None:
-        labels = {int(k): str(v) for k, v in obj["labels"].items()}
-    return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]], labels, name)
+    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
+        raise GraphError("a graph must be a JSON object with an integer 'n'")
+    edges, labels = obj.get("edges"), obj.get("labels")
+    pair = lambda e: isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
+    if not isinstance(edges, list) or not all(pair(e) for e in edges):
+        raise GraphError(f"'edges' must be a list of [a, b] integer pairs, got {edges!r}")
+    if labels is not None:
+        if not isinstance(labels, dict):
+            raise GraphError(f"'labels' must be an object, got {labels!r}")
+        labels = {int(k): str(v) for k, v in labels.items()}
+    return Graph(obj["n"], [tuple(e) for e in edges], labels, name)
 
 
 def from_json(text: str, name: str = "G") -> Graph:

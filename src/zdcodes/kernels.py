@@ -15,17 +15,17 @@ lowest candidate, "in the code" before "out of it".  Codes therefore come
 out in sorted-vertex-sequence order: both branches share every vertex
 below the branch vertex, and no two codes are nested, so the code holding
 it is the lexicographically smaller.
+
+Twins, vertices with equal neighbourhoods, are never adjacent, and
+swapping two of them maps codes to codes.  So when the "in" branch on v
+yields no code, no code of the "out" branch holds a twin of v either, and
+that branch drops v's twins from its candidates.  Only empty subtrees are
+cut: the codes and their order do not change.  On Γ(R), where elements
+with equal annihilators are twins, this turns a refutation on Γ(Z3633)
+(1,568 vertices) from about 0.4 s into a few ms.
 """
 
 from __future__ import annotations
-
-
-def _masks(n: int, neighbor_lists) -> list[int]:
-    masks = [0] * n
-    for v in range(n):
-        for w in neighbor_lists[v]:
-            masks[v] |= 1 << w
-    return masks
 
 
 def _take(v: int, state: tuple[int, int, int], nb) -> tuple[int, int, int]:
@@ -68,10 +68,19 @@ def cover_codes(masks, limit: int) -> list[frozenset[int]]:
     if not all(masks):
         return []  # an isolated vertex can never be covered
     full = (1 << n) - 1
+    twins: dict[int, int] = {}  # neighbourhood mask -> the vertices that have it
+    for v, m in enumerate(masks):
+        twins[m] = twins.get(m, 0) | 1 << v
     found: list[frozenset[int]] = []
-    stack = [(0, 0, full)]
+    # each entry: a state, and the twins it drops when `found` still has
+    # the length it had when the entry was pushed (its "in" sibling, popped
+    # first, found nothing)
+    stack = [((0, 0, full), 0, -1)]
     while stack:
-        state = _propagate(stack.pop(), masks, full)
+        state, drop, mark = stack.pop()
+        if len(found) == mark:
+            state = (state[0], state[1], state[2] & ~drop)
+        state = _propagate(state, masks, full)
         if state is None:
             continue
         covered, chosen, cand = state
@@ -81,21 +90,10 @@ def cover_codes(masks, limit: int) -> list[frozenset[int]]:
                 break
             continue
         low = cand & -cand
-        stack.append((covered, chosen, cand ^ low))
-        stack.append(_take(low.bit_length() - 1, state, masks))
+        v = low.bit_length() - 1
+        stack.append(((covered, chosen, cand ^ low), twins[masks[v]], len(found)))
+        stack.append((_take(v, state, masks), 0, -1))
     return found
-
-
-def search_codes(n: int, neighbor_lists, limit: int) -> list[frozenset[int]]:
-    """All total perfect codes of the graph in lexicographic order, up to
-    `limit` of them.  `neighbor_lists[v]` is an iterable of v's neighbours.
-    """
-    return cover_codes(_masks(n, neighbor_lists), limit)
-
-
-def search_first_code(n: int, neighbor_lists) -> frozenset[int] | None:
-    hits = search_codes(n, neighbor_lists, limit=1)
-    return hits[0] if hits else None
 
 
 def pair_sweep(masks, edges, find_all: bool = False) -> list[tuple[int, int]]:

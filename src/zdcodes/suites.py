@@ -164,7 +164,7 @@ def suite_paths(max_n: int = 24) -> SuiteReport:
     rep = SuiteReport("paths")
     for n in range(2, max_n + 1):
         g = make_path(n)
-        exact = find_tpc(g, bound=max(config.current().solver_bound, n))
+        exact = find_tpc(g)
         claimed = path_decider(n)
         if claimed != (exact is not None):
             rep.finding(f"path:{n}", f"decider says {claimed}, exact search says {exact is not None}")
@@ -192,7 +192,7 @@ def suite_cycles(max_n: int = 24) -> SuiteReport:
     rep = SuiteReport("cycles")
     for n in range(3, max_n + 1):
         g = make_cycle(n)
-        exact = find_tpc(g, bound=max(config.current().solver_bound, n))
+        exact = find_tpc(g)
         claimed = cycle_decider(n)
         if claimed != (exact is not None):
             rep.finding(f"cycle:{n}", f"decider says {claimed}, exact search says {exact is not None}")
@@ -286,25 +286,13 @@ def _zn_instance(n: int) -> dict:
     z = zdg.zero_divisor_graph(ring)
     g = z.graph
     out: dict = {"n": n, "vertices": g.n, "problems": []}
-    pair = zdg.tpc_pair_solver(z)
-    exact = find_tpc(g, bound=max(config.current().solver_bound, g.n))
-    pair_admits = True if g.n == 0 else pair is not None  # empty graph: vacuous code
-    exact_admits = exact is not None
-    if pair_admits != exact_admits:
-        out["problems"].append(
-            f"pair solver existence {pair_admits} != exact search existence {exact_admits}"
-        )
+    out["admits"] = g.n == 0 or zdg.tpc_pair_solver(z) is not None  # empty graph: vacuous code
+    if g.n >= 1:
+        out["problems"].extend(_pair_completeness_problems(z, out["admits"]))
     if g.n >= 2:
         d = diameter(g)
         if d > 3:  # inf when disconnected
             out["problems"].append(f"graph not connected with diameter <= 3 (diameter {d})")
-    if 1 <= g.n <= config.current().enum_bound:
-        for code in enumerate_tpcs(g):
-            if len(code) != 2:
-                out["problems"].append(f"enumerated code of size {len(code)}")
-    elif pair is not None and len(pair) != 2:  # pragma: no cover - pairs by construction
-        out["problems"].append("pair witness not of size 2")
-    out["admits"] = pair_admits
     return out
 
 
@@ -345,9 +333,13 @@ def suite_local_catalog() -> SuiteReport:
     rep = SuiteReport("local-catalog")
     for ring in local_catalog():
         instance = ring.name
-        verdict = zdg.local_decider(ring, bound=max(config.current().solver_bound, ring.order))
+        verdict = zdg.local_decider(ring)
         if verdict.discrepancy:
             rep.finding(instance, f"local decider routes disagree: {verdict.notes}")
+            continue
+        problems = _pair_completeness_problems(verdict.graph, verdict.admits)
+        if problems:
+            rep.finding(instance, "; ".join(problems))
             continue
         report = zdg.cut_vertex_report(ring, verdict.graph)
         if report.findings:
@@ -484,23 +476,17 @@ def _mixed_instance(args) -> dict:
 
 
 def _pair_completeness_problems(z: zdg.ZdGraph, admits: bool) -> list[str]:
-    """On small graphs, re-check the edge sweep against unrestricted exact
-    search and the all-codes-are-pairs claim against full enumeration, on
-    the graph `z` the decider ran on."""
+    """Re-check the edge sweep's decision `admits` against one full
+    enumeration of the nonempty graph `z` it ran on: a code exists exactly
+    when the list is nonempty, and every code in it is a pair."""
+    codes = enumerate_tpcs(z.graph)
     problems = []
-    g = z.graph
-    solver_bound = config.current().solver_bound
-    if 1 <= g.n <= solver_bound:
-        exact = find_tpc(g, bound=solver_bound)
-        if (exact is not None) != admits:
-            problems.append(
-                f"unrestricted search {'finds' if exact is not None else 'refutes'} a code "
-                f"against the pair decision {admits}"
-            )
-    if 1 <= g.n <= config.current().enum_bound:
-        for code in enumerate_tpcs(g):
-            if len(code) != 2:
-                problems.append(f"enumerated code of size {len(code)}")
+    if bool(codes) != admits:
+        problems.append(
+            f"unrestricted search {'finds' if codes else 'refutes'} a code "
+            f"against the pair decision {admits}"
+        )
+    problems.extend(f"enumerated code of size {len(c)}" for c in codes if len(c) != 2)
     return problems
 
 

@@ -19,10 +19,9 @@ Conventions (degenerate inputs are legal everywhere):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
-from . import config, kernels
+from . import kernels
 from .graphs import Graph, GraphError, make_complete_bipartite
 
 CodeSet = frozenset
@@ -59,6 +58,7 @@ class Verdict:
     deciders: tuple[DeciderResult, ...]
     cross_checked: bool
     discrepancy: bool
+    #: why the verdict is flagged; empty when it is not
     notes: tuple[str, ...] = ()
     #: the graph the routes ran on, None when no route needed one
     graph: object = field(default=None, compare=False, repr=False)
@@ -82,23 +82,20 @@ class Verdict:
         }
 
 
-def consensus(
-    name: str,
-    results,
-    cross_checked: bool,
-    notes: tuple[str, ...] = (),
-    graph=None,
-) -> Verdict:
+def consensus(name: str, results, notes: tuple[str, ...] = (), graph=None) -> Verdict:
     """The one rule that joins routes: when they agree, that is the answer;
     when they disagree, the first route whose id starts with "exact" wins
     and the verdict is flagged.  The witness is that of the first admitting
-    route that has one."""
+    route that has one.  `notes` are the disagreements a route's own nested
+    routes raised; any flags this verdict too.  The verdict is cross-checked
+    when some "exact" route ran."""
     results = tuple(results)
     answers = {r.admits for r in results}
-    discrepancy = len(answers) > 1
-    oracle = next((r for r in results if r.decider_id.startswith("exact")), results[0])
+    discrepancy = len(answers) > 1 or bool(notes)
+    exact = next((r for r in results if r.decider_id.startswith("exact")), None)
+    oracle = exact or results[0]
     chosen = next((r for r in results if r.admits and r.witness is not None), None)
-    if discrepancy:
+    if len(answers) > 1:
         notes = notes + tuple(
             f"decider {r.decider_id} says {'admits' if r.admits else 'no code'}" for r in results
         )
@@ -108,7 +105,7 @@ def consensus(
         witness=chosen.witness if chosen else None,
         witness_names=chosen.witness_names if chosen else None,
         deciders=results,
-        cross_checked=cross_checked,
+        cross_checked=exact is not None,
         discrepancy=discrepancy,
         notes=notes,
         graph=graph,
@@ -128,38 +125,23 @@ def is_total_perfect_code(g: Graph, code) -> bool:
     return all((m & cmask).bit_count() == 1 for m in g.neighbor_masks)
 
 
-def find_tpc(g: Graph, bound: int | None = None) -> frozenset[int] | None:
+def find_tpc(g: Graph) -> frozenset[int] | None:
     """Lexicographically least total perfect code under sorted-vertex order,
-    or None.  Warns when the graph exceeds the configured search bound but
-    searches anyway.
-    """
-    limit = bound if bound is not None else config.current().solver_bound
-    if g.n > limit:
-        warnings.warn(
-            f"exact search on {g.n} vertices exceeds the bound {limit}; "
-            "this may be slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    or None."""
     hits = kernels.cover_codes(g.neighbor_masks, limit=1)
     return hits[0] if hits else None
 
 
-class EnumerationBoundError(ValueError):
-    pass
+#: most codes `enumerate_tpcs` lists before it gives up
+MAX_CODES = 65536
 
 
-def enumerate_tpcs(g: Graph, bound: int | None = None) -> list[frozenset[int]]:
-    """Every total perfect code, lexicographically ordered."""
-    limit = bound if bound is not None else config.current().enum_bound
-    if g.n > limit:
-        raise EnumerationBoundError(
-            f"enumeration over {g.n} vertices exceeds the bound {limit}; "
-            "use find_tpc for a single witness"
-        )
-    hits = kernels.cover_codes(g.neighbor_masks, limit=65536)
-    if len(hits) >= 65536:  # pragma: no cover - unreachable at the 24-vertex bound
-        raise RuntimeError("solution buffer exhausted")
+def enumerate_tpcs(g: Graph) -> list[frozenset[int]]:
+    """Every total perfect code, lexicographically ordered; a RuntimeError
+    when there are more than MAX_CODES of them."""
+    hits = kernels.cover_codes(g.neighbor_masks, limit=MAX_CODES + 1)
+    if len(hits) > MAX_CODES:
+        raise RuntimeError(f"more than {MAX_CODES} total perfect codes; use find_tpc")
     return hits
 
 
@@ -322,8 +304,8 @@ class EndVertexReport:
     findings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def end_vertex_analysis(g: Graph, bound: int | None = None) -> EndVertexReport:
-    codes = enumerate_tpcs(g, bound=bound)
+def end_vertex_analysis(g: Graph) -> EndVertexReport:
+    codes = enumerate_tpcs(g)
     if not codes:
         return EndVertexReport(False, False, None, 0, note="no code exists")
     excluded = g.n < 3 or g.is_star()

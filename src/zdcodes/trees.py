@@ -114,7 +114,12 @@ class TreeBuildStep:
 
     @staticmethod
     def from_obj(obj: dict) -> "TreeBuildStep":
-        return TreeBuildStep(obj["op"], int(obj["v"]), obj.get("n"), obj.get("k"))
+        if not isinstance(obj, dict) or "op" not in obj or "v" not in obj:
+            raise ValueError(f"trace step {obj!r} is not an object with 'op' and 'v'")
+        v, n, k = obj["v"], obj.get("n"), obj.get("k")
+        if not isinstance(v, int) or not all(x is None or isinstance(x, int) for x in (n, k)):
+            raise ValueError(f"trace step {obj!r}: 'v', 'n' and 'k' must be integers")
+        return TreeBuildStep(obj["op"], v, n, k)
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,12 @@ class BuildTrace:
 
     @staticmethod
     def obj_steps(obj: dict) -> tuple[int, list[TreeBuildStep]]:
-        return int(obj["initial"]), [TreeBuildStep.from_obj(s) for s in obj.get("steps", [])]
+        if not isinstance(obj, dict) or not isinstance(obj.get("initial"), int):
+            raise ValueError("a build trace must be a JSON object with an integer 'initial'")
+        steps = obj.get("steps", [])
+        if not isinstance(steps, list):
+            raise ValueError(f"trace 'steps' must be a list, got {steps!r}")
+        return obj["initial"], [TreeBuildStep.from_obj(s) for s in steps]
 
 
 def _attach_path(t: Graph, v: int, n: int, join_offset: int) -> Graph:

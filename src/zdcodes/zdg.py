@@ -91,11 +91,11 @@ def tpc_pair_solver(z: ZdGraph, find_all: bool = False):
     return z.to_elements(hits[0]) if hits else None
 
 
-def ring_code_exact(z: ZdGraph, bound: int | None = None) -> frozenset[int] | None:
+def ring_code_exact(z: ZdGraph) -> frozenset[int] | None:
     """Unrestricted exact search on the graph, as ring elements; the empty
     graph of a field yields the vacuous empty code.
     """
-    code = find_tpc(z.graph, bound=bound)
+    code = find_tpc(z.graph)
     return z.to_elements(code) if code is not None else None
 
 
@@ -115,13 +115,12 @@ def _route(ring: FiniteRing, decider_id: str, admits: bool, witness=None) -> Dec
 # -- local rings ---------------------------------------------------------------
 
 
-def local_decider(
-    ring: FiniteRing, bound: int | None = None, graph: ZdGraph | None = None
-) -> Verdict:
-    """Three independent routes for a local non-field ring: the annihilator
+def local_decider(ring: FiniteRing, graph: ZdGraph | None = None) -> Verdict:
+    """Four independent routes for a local non-field ring: the annihilator
     criterion (some |ann(x)| = 2 with |Z(R)| >= 3, or a two-vertex graph
-    whose vertices annihilate each other), the degree-one criterion, and
-    the exact pair sweep.  All must agree or the verdict is flagged.
+    whose vertices annihilate each other), the degree-one criterion, the
+    exact pair sweep and the exact search.  All must agree or the verdict
+    is flagged.
     `graph` is Gamma of a ring isomorphic to `ring` when the caller has
     built one; the graph routes then run on it.
     """
@@ -147,18 +146,14 @@ def local_decider(
     if structural_witness is not None:
         assert is_code_pair(ring, *structural_witness)
     pair = tpc_pair_solver(z)
+    exact = ring_code_exact(z)
     results = [
         _route(ring, "ann-pair-structural", clause_a or clause_b, structural_witness),
         DeciderResult("degree-one", bool(degree_one_vertices(z))),
         _route(z.ring, "exact-pair", pair is not None, pair),
+        _route(z.ring, "exact-search", exact is not None, exact),
     ]
-    limit = bound if bound is not None else config.current().solver_bound
-    cross = False
-    if z.graph.n <= limit:
-        exact = ring_code_exact(z, bound=limit)
-        results.append(_route(z.ring, "exact-search", exact is not None, exact))
-        cross = True
-    return consensus(ring.name, results, cross_checked=cross, graph=z)
+    return consensus(ring.name, results, graph=z)
 
 
 def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
@@ -289,7 +284,7 @@ def reduced_decider(factors, graph: ZdGraph | None = None) -> Verdict:
         _route(ring, "field-count", k == 2, witness),
         _route(z.ring, "exact-pair", pair is not None, pair),
     ]
-    return consensus(ring.name, results, cross_checked=True, graph=z)
+    return consensus(ring.name, results, graph=z)
 
 
 def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) -> Verdict:
@@ -322,12 +317,8 @@ def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) ->
     if m == 1 and n == 0:
         return local_decider(locals_[0], graph=graph)
     if m == 0 and n == 1:
-        return consensus(
-            fields_[0].name,
-            [DeciderResult("field-vacuous", True, frozenset(), ())],
-            cross_checked=False,
-            notes=("field: empty graph, the empty code holds vacuously",),
-        )
+        # a field's graph is empty and the empty code holds vacuously
+        return consensus(fields_[0].name, [DeciderResult("field-vacuous", True, frozenset(), ())])
     if m == 0:
         return reduced_decider(fields_, graph=graph)
 
@@ -358,7 +349,7 @@ def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) ->
         _route(ring, "artinian-case", admits, witness),
         _route(z.ring, "exact-pair", pair is not None, pair),
     ]
-    return consensus(ring.name, results, cross_checked=True, graph=z)
+    return consensus(ring.name, results, graph=z)
 
 
 # -- decomposition for arbitrary rings ------------------------------------------
@@ -394,29 +385,30 @@ def artinian_split(ring: FiniteRing) -> tuple[list[FiniteRing], list[FiniteRing]
     return locals_, fields_
 
 
-def decide_ring(ring: FiniteRing, bound: int | None = None) -> Verdict:
+def decide_ring(ring: FiniteRing) -> Verdict:
     """Every route on one ring, over one Gamma(R): the pair sweep, the
     structural case analysis on the Artinian split (its own graph routes
-    read the same Gamma, the split being isomorphic to R), and the exact
-    search when Gamma has at most `bound` vertices (default: the solver
-    bound, at least 64).  A field's empty graph gets the vacuous route only.
+    read the same Gamma, the split being isomorphic to R) and the exact
+    search.  A disagreement among the case analysis's own routes flags the
+    verdict and carries their notes.  A field's empty graph gets the
+    vacuous route only.
     """
     z = zero_divisor_graph(ring)
     if z.graph.n == 0:
         vacuous = DeciderResult("field-vacuous", True, frozenset(), ())
-        return consensus(ring.name, [vacuous], cross_checked=False, graph=z)
+        return consensus(ring.name, [vacuous], graph=z)
     pair = tpc_pair_solver(z)
     results = [_route(ring, "exact-pair", pair is not None, pair)]
+    notes: tuple[str, ...] = ()
     split = artinian_split(ring)
     if split is not None:
         v = mixed_decider(*split, graph=z)
         route_id = "structural:" + "+".join(d.decider_id for d in v.deciders)
         results.append(DeciderResult(route_id, v.admits, v.witness, v.witness_names))
-    limit = bound if bound is not None else max(config.current().solver_bound, 64)
-    if z.graph.n <= limit:
-        exact = ring_code_exact(z, bound=limit)
-        results.append(_route(ring, "exact-search", exact is not None, exact))
-    return consensus(ring.name, results, cross_checked=True, graph=z)
+        notes = v.notes
+    exact = ring_code_exact(z)
+    results.append(_route(ring, "exact-search", exact is not None, exact))
+    return consensus(ring.name, results, notes, graph=z)
 
 
 # -- zero-divisor counting -------------------------------------------------------

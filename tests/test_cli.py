@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from zdcodes import zdg
 from zdcodes.cli import main
+from zdcodes.rings import make_zn
 
 TREE_GEN = Path(__file__).parent / "data" / "tree_gen"
 DECIDE = Path(__file__).parent / "data" / "decide"
@@ -235,8 +237,8 @@ def test_config_file(tmp_path, capsys):
     "var, value, argv",
     [
         ("ZDCODES_RING_CAP", "abc", ("tpc-decide", "Z12")),
-        ("ZDCODES_ENUM_BOUND", "-1", ("verify", "zn-sweep", "--max-n", "20", "--jobs", "1")),
-        ("ZDCODES_SOLVER_BOUND", "2.5", ("ring-info", "Z4")),
+        ("ZDCODES_TABLE_CACHE_CAP", "-1", ("verify", "zn-sweep", "--max-n", "20", "--jobs", "1")),
+        ("ZDCODES_RING_CAP", "2.5", ("ring-info", "Z4")),
     ],
 )
 def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
@@ -249,10 +251,19 @@ def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
 @pytest.mark.parametrize("value", ["many", -3, 4.5, True, None])
 def test_bad_config_value_is_named(tmp_path, capsys, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ring_cap": 64, "solver_bound": value}))
+    cfg.write_text(json.dumps({"ring_cap": 64, "table_cache_cap": value}))
     code, out, err = run(capsys, "--config", str(cfg), "tpc-decide", "Z12")
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "'solver_bound'" in err and str(cfg) in err
+    assert err.count("\n") == 1 and "'table_cache_cap'" in err and str(cfg) in err
+
+
+@pytest.mark.parametrize(
+    "var, value", [("ZDCODES_SOLVER_BOUND", "2.5"), ("ZDCODES_ENUM_BOUND", "-1")]
+)
+def test_deleted_bound_variables_are_ignored(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, "tpc-decide", "Z12")
+    assert code == 0 and "consensus" in out and err == ""
 
 
 @pytest.mark.parametrize("text", ["5", "[1, 2]", "{not json"])
@@ -304,6 +315,69 @@ def test_decider_discrepancy_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod.zdg, "tpc_pair_solver", lambda z, find_all=False: None)
     code, out, _ = run(capsys, "tpc-decide", "Z12")
     assert code == 2 and "DISCREPANCY" in out
+
+
+def test_nested_structural_discrepancy_exits_2(capsys, monkeypatch):
+    # sabotage a route nested in the structural case analysis: the top-level
+    # routes still agree, but the disagreement below them must surface
+    monkeypatch.setattr(zdg, "degree_one_vertices", lambda z: frozenset())
+    assert zdg.local_decider(make_zn(8)).discrepancy
+    code, out, _ = run(capsys, "tpc-decide", "Z8")
+    assert code == 2 and "Z8: admits (DISCREPANCY)" in out
+    assert "decider degree-one says no code" in out
+    code, out, _ = run(capsys, "tpc-decide", "Z8", "--json")
+    assert code == 2 and json.loads(out)["consensus"] is False
+
+
+@pytest.mark.parametrize(
+    "target, vertices", [("path:30", 30), ("Z256", 127)], ids=["graph", "ring"]
+)
+def test_bound_warns_but_still_searches(capsys, target, vertices):
+    with pytest.warns(RuntimeWarning, match=f"exact search on {vertices} vertices exceeds the bound 20"):
+        code, out, _ = run(capsys, "tpc-decide", target, "--bound", "20", "--json")
+    assert code == 0
+    assert json.loads(out)["deciders"][-1]["id"] == "exact-search"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[0, 1]]",
+        "null",
+        '{"n": 2}',
+        '{"n": 2, "edges": 5}',
+        '{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}',
+        '{"n": 2, "edges": [[0, null]]}',
+    ],
+    ids=["list", "null", "no-edges", "edges-int", "labels-list", "edge-null"],
+)
+def test_bad_graph_file_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "tpc-decide", f"file:{path}")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: bad graph target")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"op": "A2", "v": 2}],
+        {"initial": 4, "steps": 3},
+        {"initial": 4, "steps": ["A2"]},
+        {"initial": 4, "steps": [{"op": "A2"}]},
+        {"initial": None},
+        {"initial": 4, "steps": [{"op": "A2", "v": None}]},
+        {"initial": 4, "steps": [{"op": "A1", "v": 1, "n": "x"}]},
+    ],
+    ids=["list", "steps-int", "step-not-object", "step-without-v", "initial-null", "v-null", "n-text"],
+)
+def test_bad_trace_file_exits_1(tmp_path, capsys, obj):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "tree-gen", "--trace", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_verify_unexpected_discrepancy_exits_2(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from zdcodes import config, kernels
@@ -14,25 +16,25 @@ def test_stale_backend_variable_is_ignored(monkeypatch):
 
 
 def test_search_empty_and_isolated():
-    assert kernels.search_codes(0, [], limit=4) == [frozenset()]
-    assert kernels.search_codes(2, [[], []], limit=4) == []
-    assert kernels.search_first_code(3, [[1], [0], []]) is None
+    assert kernels.cover_codes([], limit=4) == [frozenset()]
+    assert kernels.cover_codes([0, 0], limit=4) == []
+    assert kernels.cover_codes([0b10, 0b01, 0], limit=1) == []  # vertex 2 is isolated
 
 
 def test_search_collects_in_lex_order():
     g = make_cycle(8)
-    hits = kernels.search_codes(g.n, [sorted(s) for s in g.neighbor_sets], limit=100)
+    hits = kernels.cover_codes(g.neighbor_masks, limit=100)
     assert hits == sorted(hits, key=sorted)
     assert len(hits) == 4  # the four rotations of the paired pattern
 
 
 def test_search_limit_short_circuits():
     g = make_complete_bipartite(4, 4)
-    hits = kernels.search_codes(g.n, [sorted(s) for s in g.neighbor_sets], limit=3)
+    hits = kernels.cover_codes(g.neighbor_masks, limit=3)
     assert len(hits) == 3
-    everything = kernels.search_codes(g.n, [sorted(s) for s in g.neighbor_sets], limit=100)
+    everything = kernels.cover_codes(g.neighbor_masks, limit=100)
     assert hits == everything[:3]
-    assert kernels.search_first_code(g.n, [sorted(s) for s in g.neighbor_sets]) == everything[0]
+    assert kernels.cover_codes(g.neighbor_masks, limit=1) == everything[:1]
 
 
 def test_pair_sweep_matches_definition():
@@ -43,8 +45,8 @@ def test_pair_sweep_matches_definition():
 
 
 def test_config_env_and_file(monkeypatch, tmp_path):
-    monkeypatch.setenv("ZDCODES_SOLVER_BOUND", "99")
-    assert config.current().solver_bound == 99
+    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "99")
+    assert config.current().table_cache_cap == 99
     cfg = tmp_path / "s.json"
     cfg.write_text('{"ring_cap": 64, "backend": "numpy"}')
     s = config.Settings().merged_with_file(str(cfg))
@@ -56,10 +58,26 @@ def test_config_env_and_file(monkeypatch, tmp_path):
 
 
 def test_config_override(monkeypatch):
-    monkeypatch.delenv("ZDCODES_SOLVER_BOUND", raising=False)
-    config.set_override(config.Settings(solver_bound=7))
+    monkeypatch.delenv("ZDCODES_TABLE_CACHE_CAP", raising=False)
+    config.set_override(config.Settings(table_cache_cap=7))
     try:
-        assert config.current().solver_bound == 7
+        assert config.current().table_cache_cap == 7
     finally:
         config.set_override(None)
-    assert config.current().solver_bound == 64
+    assert config.current().table_cache_cap == 256
+
+
+def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
+    # the exact search and the enumeration no longer have vertex bounds
+    before = config.current()
+    monkeypatch.setenv("ZDCODES_SOLVER_BOUND", "bogus")
+    monkeypatch.setenv("ZDCODES_ENUM_BOUND", "-1")
+    assert config.current() == before
+    cfg = tmp_path / "s.json"
+    cfg.write_text('{"solver_bound": "many", "enum_bound": 2.5}')
+    assert config.Settings().merged_with_file(str(cfg)) == config.Settings()
+
+
+def test_env_vars_document_exactly_the_settings():
+    names = {config.ENV_PREFIX + f.name.upper() for f in dataclasses.fields(config.Settings)}
+    assert set(config.ENV_VARS) == names

@@ -55,14 +55,48 @@ def test_families_match_bruteforce(g):
 def test_gamma_z720_has_no_code_quickly():
     g = zero_divisor_graph(make_zn(720)).graph
     t0 = time.perf_counter()
-    assert find_tpc(g, bound=g.n) is None
+    assert find_tpc(g) is None
     assert time.perf_counter() - t0 < 5.0
 
 
 def test_gamma_z4096_witness_is_the_least_edge():
     g = zero_divisor_graph(make_zn(4096)).graph
     assert g.n == 2047
-    code = find_tpc(g, bound=g.n)
+    code = find_tpc(g)
     first_edge = kernels.pair_sweep(g.neighbor_masks, g.edges)
     assert code == frozenset(first_edge[0])
     assert is_total_perfect_code(g, code)
+
+
+@st.composite
+def twin_blowups(draw, max_base=4):
+    """A small G(n, p) with every vertex replaced by 1-4 twins: copies of v
+    are pairwise non-adjacent and each is joined to every copy of each
+    neighbour of v, so all copies share one neighbourhood."""
+    base = draw(gnp_graphs(max_n=max_base))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=base.n, max_size=base.n))
+    starts = [sum(sizes[:v]) for v in range(base.n)]
+    copies = [range(s, s + k) for s, k in zip(starts, sizes)]
+    edges = [(x, y) for a, b in base.edges for x in copies[a] for y in copies[b]]
+    return Graph(sum(sizes), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_blowups())
+def test_twin_blowups_match_bruteforce(g):
+    _check_against_brute(g)
+
+
+def test_twins_are_kept_when_their_sibling_has_codes():
+    # 0 and 2 are twins, as are 1 and 3; codes through 0 must not hide {1,2}, {2,3}
+    assert enumerate_tpcs(make_cycle(4)) == brute_tpcs(make_cycle(4))
+    assert len(enumerate_tpcs(make_cycle(4))) == 4
+
+
+def test_gamma_z3633_twin_pruned_refutation():
+    g = zero_divisor_graph(make_zn(3633)).graph
+    assert g.n == 1568
+    t0 = time.perf_counter()
+    assert find_tpc(g) is None
+    assert time.perf_counter() - t0 < 5.0
+

@@ -15,7 +15,6 @@ from zdcodes.graphs import (
 )
 from zdcodes.tpc import (
     DeciderResult,
-    EnumerationBoundError,
     NotATreeError,
     complete_bipartite_code,
     complete_decider,
@@ -115,20 +114,22 @@ def test_find_is_deterministic():
 
 
 def test_enumeration_bound():
-    with pytest.raises(EnumerationBoundError, match="find_tpc"):
-        enumerate_tpcs(make_path(30))
-    assert enumerate_tpcs(make_path(30), bound=30)  # explicit bound overrides
+    # no vertex bound: a 30-vertex path enumerates in full
+    g = make_path(30)
+    codes = enumerate_tpcs(g)
+    assert codes and codes[0] == find_tpc(g)
+    assert all(is_total_perfect_code(g, c) for c in codes)
+    # the one bound is the result buffer: nine disjoint 4-cycles have 4**9 codes
+    c4s = Graph(36, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(9) for j in range(4)])
+    with pytest.raises(RuntimeError, match="find_tpc"):
+        enumerate_tpcs(c4s)
+    assert find_tpc(c4s) == frozenset(v for i in range(9) for v in (4 * i, 4 * i + 1))
 
 
 def test_enumerate_examples():
     assert enumerate_tpcs(make_path(2)) == [frozenset({0, 1})]
     assert enumerate_tpcs(make_path(5)) == []
     assert frozenset({0, 1, 4, 5}) in enumerate_tpcs(make_cycle(8))
-
-
-def test_solver_warns_beyond_bound():
-    with pytest.warns(RuntimeWarning, match="exceeds"):
-        find_tpc(make_path(30), bound=10)
 
 
 # -- closed forms ------------------------------------------------------------
@@ -262,16 +263,20 @@ def test_consensus_rule():
     code = DeciderResult("structural", True, frozenset({2, 1})).named()
     assert code.witness_names == (1, 2)
     # agreement: that answer; the witness is the first admitting one that has one
-    v = consensus("G", [DeciderResult("parity", True), code], cross_checked=True)
+    v = consensus("G", [DeciderResult("parity", True), code])
     assert v.admits and not v.discrepancy and v.witness == {1, 2} and not v.notes
+    assert not v.cross_checked  # no exact route ran
     # disagreement: the first exact route wins and the verdict is flagged
     routes = [code, DeciderResult("exact-pair", False), DeciderResult("exact-search", True)]
-    v = consensus("G", routes, cross_checked=True)
-    assert v.discrepancy and not v.admits and v.witness_names == (1, 2)
+    v = consensus("G", routes)
+    assert v.discrepancy and not v.admits and v.witness_names == (1, 2) and v.cross_checked
     assert "decider exact-pair says no code" in v.notes
     assert v.to_obj()["discrepancies"] == list(v.notes)
     # no exact route: the first route wins
-    v = consensus("G", [DeciderResult("a", False), code], cross_checked=False)
-    assert v.discrepancy and not v.admits
-    v = consensus("G", [DeciderResult("vacuous", True, frozenset(), ())], cross_checked=False)
+    v = consensus("G", [DeciderResult("a", False), code])
+    assert v.discrepancy and not v.admits and not v.cross_checked
+    v = consensus("G", [DeciderResult("vacuous", True, frozenset(), ())])
     assert v.admits and v.witness == frozenset() and v.witness_names == ()
+    # a disagreement among a route's nested routes flags the verdict
+    v = consensus("G", [code, DeciderResult("exact-pair", True)], notes=("nested says no",))
+    assert v.discrepancy and v.admits and v.notes == ("nested says no",)

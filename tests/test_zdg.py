@@ -281,9 +281,14 @@ def test_decide_ring_routes():
     # no Artinian split: the graph routes only
     v = zdg.decide_ring(make_quotient(6, (0, 0, 1)))
     assert [d.decider_id for d in v.deciders] == ["exact-pair", "exact-search"]
-    # above the bound the exact search is left out
-    v = zdg.decide_ring(make_zn(256), bound=100)
-    assert [d.decider_id for d in v.deciders][-1].startswith("structural:")
+    # the exact search runs at every size, also inside a local ring's case analysis
+    v = zdg.decide_ring(make_zn(256))
+    assert v.graph.graph.n == 127 and v.cross_checked
+    assert [d.decider_id for d in v.deciders] == [
+        "exact-pair",
+        "structural:ann-pair-structural+degree-one+exact-pair+exact-search",
+        "exact-search",
+    ]
     v = zdg.decide_ring(make_zn(7))
     assert [d.decider_id for d in v.deciders] == ["field-vacuous"]
     assert v.admits and v.witness == frozenset()
