@@ -10,6 +10,7 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -85,7 +86,10 @@ def main(argv=None) -> int:
         config.set_override(None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so every
+    `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="zdcodes",
         description="Zero-divisor graphs and total perfect codes, with exact cross-validation.",

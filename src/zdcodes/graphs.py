@@ -352,11 +352,16 @@ def from_json(text: str, name: str = "G") -> Graph:
     return from_json_obj(json.loads(text), name)
 
 
+def _dot_quoted(text: str) -> str:
+    """`text` as a DOT quoted string on one line."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def to_dot(g: Graph) -> str:
-    lines = [f'graph "{g.name}" {{']
+    lines = [f"graph {_dot_quoted(g.name)} {{"]
     for v in range(g.n):
         if g.labels and v in g.labels:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            lines.append(f"  {v} [label={_dot_quoted(g.labels[v])}];")
         else:
             lines.append(f"  {v};")
     for a, b in g.edges:

@@ -7,11 +7,15 @@ need: Z_n, GF(p^k), univariate quotients Z_m[x]/(f) with f monic, and
 finite products.  Structure-constant ("table") rings live in `tables`.
 
 Op tables are cached below the table-cache cap and recomputed on demand
-above it.  Products are computed from their factors: arithmetic gathers each
-factor's cached table, and units, zero divisors, annihilators and the local,
-field and reduced tests follow from the factors' own answers.  Structural
-queries on every other ring scan in vectorised chunks so they never
-materialise more than a sliver of the full table.
+above it.  Z_n's structure comes from its gcd classes: x is a unit exactly
+when gcd(x, n) = 1, and xy = 0 exactly when n divides gcd(x, n)·gcd(y, n),
+so units, zero divisors, annihilators, zero products and the local test
+need no table at any order.  Products are computed from their factors:
+arithmetic gathers each factor's cached table, and units, zero divisors,
+annihilators and the local, field and reduced tests follow from the
+factors' own answers.  Structural queries on every other ring scan in
+vectorised chunks so they never materialise more than a sliver of the
+full table.
 """
 
 from __future__ import annotations
@@ -154,7 +158,12 @@ class FiniteRing:
             yield idx[s : s + step], self._mul_rows(idx[s : s + step])
 
     def zero_products(self, xs: np.ndarray) -> np.ndarray:
-        """Boolean matrix of x*y == 0 over the given elements, both ways."""
+        """Boolean matrix of x*y == 0 over the given elements, both ways.
+        Z_n decides it once per pair of distinct gcd classes and gathers."""
+        g = self._zn_gcd
+        if g is not None:
+            values, where = np.unique(g[xs], return_inverse=True)
+            return ((values[:, None] * values[None, :]) % self.order == 0)[np.ix_(where, where)]
         t = self._cached_mul
         if t is not None:
             return t[np.ix_(xs, xs)] == 0
@@ -163,10 +172,21 @@ class FiniteRing:
     # -- structure ----------------------------------------------------------
 
     @cached_property
+    def _zn_gcd(self) -> np.ndarray | None:
+        """gcd(x, n) for every x of Z_n, the class that fixes x's structure;
+        None for every other ring."""
+        if self.kind != "zn":
+            return None
+        return np.gcd(np.arange(self.order, dtype=np.int64), self.order)
+
+    @cached_property
     def units(self) -> frozenset[int]:
-        """A product element is a unit exactly when every coordinate is."""
+        """A product element is a unit exactly when every coordinate is; a
+        Z_n element exactly when it is coprime to n."""
         if self.factors:
             return _product_set(self.factors, [f.units for f in self.factors])
+        if self._zn_gcd is not None:
+            return frozenset(np.flatnonzero(self._zn_gcd == 1).tolist())
         hits: list[int] = []
         for xs, rows in self._mul_row_chunks():
             hits.extend(xs[(rows == self.one).any(axis=1)].tolist())
@@ -175,10 +195,10 @@ class FiniteRing:
     @cached_property
     def zero_divisors_nonzero(self) -> frozenset[int]:
         """Z*(R): nonzero x with xy = 0 for some nonzero y.  Every element of
-        a finite ring is a unit or a zero divisor, so for a product this is
-        every nonzero non-unit; other rings are scanned.
+        a finite ring is a unit or a zero divisor, so for a product and for
+        Z_n this is every nonzero non-unit; other rings are scanned.
         """
-        if self.factors:
+        if self.factors or self._zn_gcd is not None:
             return frozenset(range(1, self.order)) - self.units
         return self.scan_zero_divisors()
 
@@ -200,9 +220,12 @@ class FiniteRing:
 
     def annihilator(self, x: int) -> frozenset[int]:
         """ann(x) = {y : xy = 0}, always containing 0.  In a product it is
-        the product of the factors' annihilators of x's coordinates.
+        the product of the factors' annihilators of x's coordinates; in Z_n
+        it is the multiples of n / gcd(x, n).
         """
         self._check_elem(x)
+        if self._zn_gcd is not None:
+            return frozenset(range(0, self.order, self.order // int(self._zn_gcd[x])))
         if self.factors:
             coords = _mixed_decode(np.int64(x), [f.order for f in self.factors])
             return _product_set(
@@ -223,10 +246,13 @@ class FiniteRing:
         """Zero divisors together with 0 are closed under addition, which
         for a finite commutative ring pins down the unique maximal ideal.
         A product of two or more factors is never local: (1,0,...) and
-        (0,1,...) are non-units summing to one.
+        (0,1,...) are non-units summing to one.  Z_n is local exactly when
+        n is a prime power, that is when its non-units share a prime.
         """
         if self.factors:
             return len(self.factors) == 1 and self.factors[0].is_local
+        if self._zn_gcd is not None:
+            return bool(np.gcd.reduce(self._zn_gcd[self._zn_gcd > 1]) > 1)
         nonunits = np.array(sorted(set(range(self.order)) - self.units), dtype=np.int64)
         member = np.zeros(self.order, dtype=bool)
         member[nonunits] = True

@@ -29,7 +29,6 @@ from .rings import make_gf, make_quotient, make_zn, zn_crt
 from .tpc import (
     cycle_code,
     cycle_decider,
-    enumerate_tpcs,
     find_tpc,
     is_total_perfect_code,
     path_code,
@@ -333,15 +332,17 @@ def suite_local_catalog() -> SuiteReport:
     rep = SuiteReport("local-catalog")
     for ring in local_catalog():
         instance = ring.name
-        verdict = zdg.local_decider(ring)
+        z = zdg.zero_divisor_graph(ring)
+        z.codes  # enumerated first: the decider's exact route reads its least code
+        verdict = zdg.local_decider(ring, graph=z)
         if verdict.discrepancy:
             rep.finding(instance, f"local decider routes disagree: {verdict.notes}")
             continue
-        problems = _pair_completeness_problems(verdict.graph, verdict.admits)
+        problems = _pair_completeness_problems(z, verdict.admits)
         if problems:
             rep.finding(instance, "; ".join(problems))
             continue
-        report = zdg.cut_vertex_report(ring, verdict.graph)
+        report = zdg.cut_vertex_report(ring, z)
         if report.findings:
             rep.finding(instance, "; ".join(report.findings))
             continue
@@ -479,7 +480,7 @@ def _pair_completeness_problems(z: zdg.ZdGraph, admits: bool) -> list[str]:
     """Re-check the edge sweep's decision `admits` against one full
     enumeration of the nonempty graph `z` it ran on: a code exists exactly
     when the list is nonempty, and every code in it is a pair."""
-    codes = enumerate_tpcs(z.graph)
+    codes = z.codes
     problems = []
     if bool(codes) != admits:
         problems.append(
@@ -561,9 +562,9 @@ def suite_fixtures() -> SuiteReport:
             problems.append("|Z(R)| not above 2")
         if not zdg.is_exceptional_local_fingerprint(ring):
             problems.append("fingerprint (no |ann|=2 element) does not hold")
-        if zdg.tpc_pair_solver(z) is not None or find_tpc(z.graph) is not None:
+        if zdg.tpc_pair_solver(z) is not None or z.least_code is not None:
             problems.append("fixture unexpectedly admits a code")
-        if not zdg.cut_vertex_report(ring).articulation_elements:
+        if not zdg.cut_vertex_report(ring, z).articulation_elements:
             problems.append("no articulation points")
         if problems:
             rep.finding(slug, "; ".join(problems))

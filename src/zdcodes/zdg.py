@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import config, kernels
 from .graphs import Graph, LazyLabels, articulation_points
@@ -32,17 +33,40 @@ from .rings import (
     make_zn,
     product_encode,
 )
-from .tpc import DeciderResult, Verdict, consensus, find_tpc
+from .tpc import DeciderResult, Verdict, consensus, enumerate_tpcs, find_tpc
 
 
 @dataclass(frozen=True)
 class ZdGraph:
+    """Gamma(R) with its vertex-to-element map.  The graph's code answers
+    (the pair sweep, the exact search, the enumeration) are computed once
+    and shared by every route and check that runs on it."""
+
     ring: FiniteRing
     graph: Graph
     elements: tuple[int, ...]  # vertex index -> ring element
 
     def to_elements(self, vertices) -> frozenset[int]:
         return frozenset(self.elements[v] for v in vertices)
+
+    @cached_property
+    def code_pair(self) -> tuple[int, int] | None:
+        """The first edge, in edge order, that is a total perfect code."""
+        hits = kernels.pair_sweep(self.graph.neighbor_masks, self.graph.edges)
+        return hits[0] if hits else None
+
+    @cached_property
+    def codes(self) -> list[frozenset[int]]:
+        """Every total perfect code, lexicographically ordered."""
+        return enumerate_tpcs(self.graph)
+
+    @cached_property
+    def least_code(self) -> frozenset[int] | None:
+        """The lexicographically least code: the first of `codes` when they
+        have been enumerated, else one exact search."""
+        if "codes" in self.__dict__:
+            return self.codes[0] if self.codes else None
+        return find_tpc(self.graph)
 
 
 def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
@@ -80,23 +104,18 @@ def degree_one_vertices(z: ZdGraph) -> frozenset[int]:
     return frozenset(z.elements[v] for v in range(z.graph.n) if z.graph.degree(v) == 1)
 
 
-def tpc_pair_solver(z: ZdGraph, find_all: bool = False):
+def tpc_pair_solver(z: ZdGraph) -> frozenset[int] | None:
     """First edge (lexicographic by vertex order) that is a total perfect
-    code, as ring elements, or None.  With find_all, every such edge.
+    code, as ring elements, or None.
     """
-    g = z.graph
-    hits = kernels.pair_sweep(g.neighbor_masks, g.edges, find_all=find_all)
-    if find_all:
-        return [z.to_elements(h) for h in hits]
-    return z.to_elements(hits[0]) if hits else None
+    return z.to_elements(z.code_pair) if z.code_pair is not None else None
 
 
 def ring_code_exact(z: ZdGraph) -> frozenset[int] | None:
     """Unrestricted exact search on the graph, as ring elements; the empty
     graph of a field yields the vacuous empty code.
     """
-    code = find_tpc(z.graph)
-    return z.to_elements(code) if code is not None else None
+    return z.to_elements(z.least_code) if z.least_code is not None else None
 
 
 def is_code_pair(ring: FiniteRing, a: int, b: int) -> bool:

@@ -1,9 +1,10 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from zdcodes import zdg
+from zdcodes import config, zdg
 from zdcodes.cli import main
 from zdcodes.rings import make_zn
 
@@ -140,6 +141,30 @@ def test_tpc_decide_builds_gamma_once(capsys, monkeypatch, target):
     code, out, _ = run(capsys, "tpc-decide", target, "--json")
     assert code == 0 and json.loads(out)["consensus"]
     assert len(built) == 1, built
+
+
+@pytest.mark.parametrize("target", ["Z8", "Z12", "Z2 x Z8"])
+def test_tpc_decide_sweeps_gamma_once(capsys, monkeypatch, target):
+    # the top-level pair sweep and the one nested in the structural route
+    # run on the same graph, and so does the exact search
+    from zdcodes import kernels
+
+    sweeps, searches = [], []
+    real_sweep, real_cover = kernels.pair_sweep, kernels.cover_codes
+
+    def counting_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return real_sweep(*args, **kwargs)
+
+    def counting_cover(*args, **kwargs):
+        searches.append(1)
+        return real_cover(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pair_sweep", counting_sweep)
+    monkeypatch.setattr(kernels, "cover_codes", counting_cover)
+    code, out, _ = run(capsys, "tpc-decide", target, "--json")
+    assert code == 0 and json.loads(out)["consensus"]
+    assert (len(sweeps), len(searches)) == (1, 1)
 
 
 def test_verify_exit_codes(capsys):
@@ -391,3 +416,55 @@ def test_verify_unexpected_discrepancy_exits_2(capsys, monkeypatch):
     monkeypatch.setitem(suites.SUITES, "paths", broken)
     code, out, _ = run(capsys, "verify", "paths")
     assert code == 2 and "UNEXPECTED" in out
+
+
+# -- one parser per process ---------------------------------------------------------
+
+HELP = Path(__file__).parent / "data" / "help"
+
+
+def test_parser_is_built_once():
+    from zdcodes import cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_flags(capsys):
+    code, out, _ = run(capsys, "tpc-decide", "Z12", "--json")
+    assert code == 0 and json.loads(out)["witness"] == ["4", "6"]
+    code, out, _ = run(capsys, "tpc-decide", "Z12")
+    assert code == 0 and out.endswith("Z12: admits (consensus)\n") and not out.startswith("{")
+
+
+def test_reused_parser_keeps_no_bound(capsys):
+    with pytest.warns(RuntimeWarning, match="exceeds the bound 5"):
+        code, _, _ = run(capsys, "tpc-decide", "Z12", "--bound", "5")
+    assert code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, "tpc-decide", "Z12")
+    assert code == 0
+
+
+def test_reused_parser_keeps_no_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ring_cap": 10, "table_cache_cap": 0}))
+    code, _, err = run(capsys, "--config", str(cfg), "ring-info", "Z12")
+    assert code == 1 and "cap 10" in err
+    installed = []
+    real = config.set_override
+    monkeypatch.setattr(config, "set_override", lambda s: installed.append(s) or real(s))
+    code, out, _ = run(capsys, "ring-info", "Z12")
+    assert code == 0 and "order 12" in out
+    assert installed == [config.Settings().merged_with_env(), None]
+
+
+@pytest.mark.parametrize("argv, recorded", [((), "zdcodes.txt"), (("tpc-decide",), "tpc-decide.txt")])
+def test_help_is_unchanged(capsys, monkeypatch, argv, recorded):
+    # recorded at 80 columns from the parser that was rebuilt on every call
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (HELP / recorded).read_text(encoding="utf-8")

@@ -186,6 +186,37 @@ def test_dot_deterministic():
     assert "0 -- 1;" in d1
 
 
+@st.composite
+def labelled_graphs(draw):
+    """G(n, p) graphs with no labels, or text labels on any set of vertices."""
+    g = draw(gnp_graphs(max_n=12))
+    if g.n == 0 or draw(st.booleans()):
+        return g
+    labels = draw(st.dictionaries(st.integers(0, g.n - 1), st.text(max_size=8)))
+    return g.relabeled(labels, name=draw(st.text(max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graphs())
+def test_export_round_trip(g):
+    text = graphs.to_json(g)
+    assert graphs.from_json(text) == g
+    assert graphs.to_json(graphs.from_json(text)) == text
+    dot = graphs.to_dot(g)
+    assert graphs.to_dot(g) == dot
+    lines = dot.split("\n")
+    # header, one line per vertex, one line per edge, footer, final newline
+    assert len(lines) == g.n + len(g.edges) + 3 and lines[-2:] == ["}", ""]
+    assert lines[g.n + 1 : -2] == [f"  {a} -- {b};" for a, b in g.edges]
+
+
+def test_dot_quotes_names_and_labels():
+    g = Graph(2, [(0, 1)], labels={0: 'a"b\\c\nd'}, name='say "hi"')
+    assert graphs.to_dot(g) == (
+        'graph "say \\"hi\\"" {\n  0 [label="a\\"b\\\\c\\nd"];\n  1;\n  0 -- 1;\n}\n'
+    )
+
+
 def test_neighbor_masks_match_sets():
     g = fixture_graph8()
     for v in range(g.n):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdcodes import rings
 from zdcodes.rings import (
@@ -193,3 +195,61 @@ def test_element_names():
     assert q.element_name(5) == "x+2"
     pr = make_product([make_zn(2), make_zn(3)])
     assert pr.element_name(4) == "(1,1)"
+
+
+# -- Z_n's gcd-class closed forms against brute force ---------------------------
+
+
+def brute_twin(ring):
+    """A ring on the same arithmetic that is not marked Z_n, so every
+    structure query scans its brute-forced products."""
+    return rings.FiniteRing(
+        ring.order, ring.name, "brute", ring._vec_add, ring._vec_mul, ring.one, str
+    )
+
+
+def check_zn_closed_forms(n, elements=None, subset=None):
+    """Units, Z*, the local test, the annihilators of `elements` (all of Z_n
+    by default) and the zero products over `subset` (a seeded draw by
+    default) agree with the brute force."""
+    ring, twin = make_zn(n), brute_twin(make_zn(n))
+    assert ring.units == twin.units
+    assert ring.zero_divisors_nonzero == ring.scan_zero_divisors() == twin.zero_divisors_nonzero
+    assert ring.is_local == twin.is_local == (len(factorize(n)) == 1)
+    if elements is None:
+        table = twin.mul_table()
+        for x in range(n):
+            assert ring.annihilator(x) == frozenset(np.flatnonzero(table[x] == 0).tolist()), x
+    else:
+        for x in elements:
+            assert ring.annihilator(x) == twin.annihilator(x), x
+    if subset is None:
+        rng = np.random.default_rng(n)
+        subset = rng.choice(n, size=rng.integers(1, min(n, 64) + 1), replace=False)
+    xs = np.asarray(subset, dtype=np.int64)
+    assert np.array_equal(ring.zero_products(xs), twin.zero_products(xs))
+
+
+@pytest.mark.parametrize("cap", ["0", "256"])
+def test_zn_closed_forms_match_brute_force_up_to_300(monkeypatch, cap):
+    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", cap)
+    for n in range(2, 301):
+        check_zn_closed_forms(n)
+
+
+PRIME_POWERS = [p**k for p in (2, 3, 5, 7, 11, 13, 61) for k in range(1, 13) if p**k <= 4096]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(301, 4096), st.sampled_from(PRIME_POWERS)),
+    cap=st.sampled_from(["0", "256"]),
+    data=st.data(),
+)
+def test_zn_closed_forms_match_brute_force_up_to_4096(n, cap, data):
+    elems = st.integers(0, n - 1)
+    elements = data.draw(st.lists(elems, min_size=1, max_size=16), label="annihilators")
+    subset = data.draw(st.lists(elems, min_size=1, max_size=128), label="zero products")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ZDCODES_TABLE_CACHE_CAP", cap)
+        check_zn_closed_forms(n, elements, subset)

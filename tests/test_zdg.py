@@ -71,6 +71,46 @@ def test_pair_solver():
     assert tpc_pair_solver(zero_divisor_graph(make_zn(7))) is None  # empty graph, no edges
 
 
+def test_graph_answers_are_computed_once(monkeypatch):
+    from zdcodes import kernels, suites
+
+    calls = []
+
+    def counting(name):
+        real = getattr(kernels, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("pair_sweep", "cover_codes"):
+        monkeypatch.setattr(kernels, name, counting(name))
+    z = zero_divisor_graph(make_zn(16))
+    assert tpc_pair_solver(z) == tpc_pair_solver(z) == {2, 8}
+    assert zdg.ring_code_exact(z) == zdg.ring_code_exact(z) == {2, 8}
+    assert calls == ["pair_sweep", "cover_codes"]
+    # once the codes are enumerated, the least code is the first of them
+    calls.clear()
+    z = zero_divisor_graph(make_zn(16))
+    assert len(z.codes) == 4 and z.least_code == z.codes[0]
+    assert z.to_elements(z.least_code) == {2, 8}
+    assert calls == ["cover_codes"]
+    # the local catalog enumerates each graph once and searches it no more
+    calls.clear()
+    rep = suites.suite_local_catalog()
+    assert rep.exit_code() == 0
+    assert calls.count("cover_codes") == rep.instances == len(suites.local_catalog())
+
+
+def test_counting_enumerates_by_brute_force(monkeypatch):
+    from zdcodes.rings import FiniteRing
+
+    scanned = []
+    real = FiniteRing.scan_zero_divisors
+    monkeypatch.setattr(
+        FiniteRing, "scan_zero_divisors", lambda self: scanned.append(self.name) or real(self)
+    )
+    closed, rep = count_zero_divisors([make_zn(4), make_zn(4), make_zn(4)])
+    assert scanned == ["Z4 x Z4 x Z4"] and rep.enumerated == closed == 55
+
+
 def test_degree_one_vertices():
     assert degree_one_vertices(zero_divisor_graph(make_zn(16))) == {2, 6, 10, 14}
     assert degree_one_vertices(zero_divisor_graph(make_zn(25))) == frozenset()
