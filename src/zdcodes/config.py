@@ -1,10 +1,10 @@
 """Runtime limits.
 
-Every cap can be overridden by an environment variable or (for the CLI) a
-JSON config file; other variables and keys are ignored, and a value that is
-not a non-negative integer is a ValueError naming its variable or key.
-Defaults are generous: no ring in the shipped catalogs has more than a few
-hundred elements.
+The ring cap can be overridden by an environment variable or (for the
+CLI) a JSON config file; other variables and keys are ignored, and a value
+that is not a non-negative integer is a ValueError naming its variable or
+key.  The default is generous: no ring in the shipped catalogs has more
+than a few hundred elements.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ ENV_PREFIX = "ZDCODES_"
 #: which variables the CLI documents in --help
 ENV_VARS = {
     "ZDCODES_RING_CAP": "maximum ring order accepted by constructors (default 4096)",
-    "ZDCODES_TABLE_CACHE_CAP": "largest ring order whose op tables are cached (default 256)",
 }
 
 
@@ -39,7 +38,6 @@ def _cap(raw, source: str) -> int:
 @dataclass(frozen=True)
 class Settings:
     ring_cap: int = 4096
-    table_cache_cap: int = 256
 
     def merged_with_env(self) -> "Settings":
         out = self

@@ -6,16 +6,17 @@ display name per element.  Constructors cover every family the deciders
 need: Z_n, GF(p^k), univariate quotients Z_m[x]/(f) with f monic, and
 finite products.  Structure-constant ("table") rings live in `tables`.
 
-Op tables are cached below the table-cache cap and recomputed on demand
-above it.  Z_n's structure comes from its gcd classes: x is a unit exactly
-when gcd(x, n) = 1, and xy = 0 exactly when n divides gcd(x, n)·gcd(y, n),
-so units, zero divisors, annihilators, zero products and the local test
-need no table at any order.  Products are computed from their factors:
-arithmetic gathers each factor's cached table, and units, zero divisors,
-annihilators and the local, field and reduced tests follow from the
-factors' own answers.  Structural queries on every other ring scan in
-vectorised chunks so they never materialise more than a sliver of the
-full table.
+The ring's kind decides how its structure is computed.  Z_n's comes from
+its gcd classes: x is a unit exactly when gcd(x, n) = 1, and xy = 0 exactly
+when n divides gcd(x, n)·gcd(y, n), so units, annihilators and zero
+products need no table at any order.  Products are computed from their
+factors: arithmetic applies each factor's own, and units, annihilators,
+zero products and the field and reduced tests follow from the factors'
+answers.  Every other ring (quotient, GF, table) builds one
+multiplication table on first use, row chunk by row chunk, and reads its
+products, units, annihilators and zero products from it.  For every ring
+Z*(R) is the set of nonzero non-units, and R is local exactly when it has
+two idempotents.
 """
 
 from __future__ import annotations
@@ -105,69 +106,62 @@ class FiniteRing:
         return self._vec_add(np.asarray(i, np.int64), np.asarray(j, np.int64))
 
     def vec_mul(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self._vec_mul(np.asarray(i, np.int64), np.asarray(j, np.int64))
+        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
+        table = self._table
+        return self._vec_mul(i, j) if table is None else table[i, j]
 
     def add(self, x: int, y: int) -> int:
-        t = self._cached_add
-        if t is not None:
-            return int(t[x, y])
         return int(self.vec_add(np.int64(x), np.int64(y)))
 
     def mul(self, x: int, y: int) -> int:
-        t = self._cached_mul
-        if t is not None:
-            return int(t[x, y])
         return int(self.vec_mul(np.int64(x), np.int64(y)))
 
     @cached_property
-    def _cache_tables(self) -> bool:
-        return self.order <= config.current().table_cache_cap
+    def _table(self) -> np.ndarray | None:
+        """The multiplication table that every ring but Z_n and a product
+        reads; those two multiply in closed form or through their factors."""
+        if self.kind == "zn" or self.factors:
+            return None
+        return self._build_table(self._vec_mul)
 
-    @cached_property
-    def _cached_add(self) -> np.ndarray | None:
-        return self._build_table(self.vec_add) if self._cache_tables else None
-
-    @cached_property
-    def _cached_mul(self) -> np.ndarray | None:
-        return self._build_table(self.vec_mul) if self._cache_tables else None
+    def _row_chunks(self, op: VecOp):
+        """(xs, op(x, y) for x in xs and every y) over row chunks small
+        enough that op's temporaries stay a sliver of the full table."""
+        n = self.order
+        idx = np.arange(n, dtype=np.int64)
+        step = max(1, (1 << 18) // n)
+        for s in range(0, n, step):
+            xs = idx[s : s + step]
+            yield xs, op(xs[:, None], idx[None, :])
 
     def _build_table(self, op: VecOp) -> np.ndarray:
-        n = self.order
-        idx = np.arange(n, dtype=np.int64)
-        return op(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
+        table = np.empty((self.order, self.order), dtype=np.int64)
+        for xs, rows in self._row_chunks(op):
+            table[xs[0] : xs[0] + len(xs)] = rows
+        return table
 
     def add_table(self) -> np.ndarray:
-        return self._cached_add if self._cached_add is not None else self._build_table(self.vec_add)
+        return self._build_table(self.vec_add)
 
     def mul_table(self) -> np.ndarray:
-        return self._cached_mul if self._cached_mul is not None else self._build_table(self.vec_mul)
-
-    def _mul_rows(self, xs: np.ndarray) -> np.ndarray:
-        """Multiplication rows for the given elements against all of R."""
-        t = self._cached_mul
-        if t is not None:
-            return t[xs]
-        all_ = np.arange(self.order, dtype=np.int64)
-        return self.vec_mul(xs[:, None], all_[None, :])
-
-    def _mul_row_chunks(self, chunk_elems: int | None = None):
-        n = self.order
-        step = chunk_elems or max(1, (1 << 21) // n)
-        idx = np.arange(n, dtype=np.int64)
-        for s in range(0, n, step):
-            yield idx[s : s + step], self._mul_rows(idx[s : s + step])
+        return self._table if self._table is not None else self._build_table(self.vec_mul)
 
     def zero_products(self, xs: np.ndarray) -> np.ndarray:
         """Boolean matrix of x*y == 0 over the given elements, both ways.
-        Z_n decides it once per pair of distinct gcd classes and gathers."""
+        Z_n decides it once per pair of distinct gcd classes and a product
+        once per pair of distinct coordinates in each factor, where xy = 0
+        exactly when every coordinate product vanishes."""
         g = self._zn_gcd
         if g is not None:
             values, where = np.unique(g[xs], return_inverse=True)
             return ((values[:, None] * values[None, :]) % self.order == 0)[np.ix_(where, where)]
-        t = self._cached_mul
-        if t is not None:
-            return t[np.ix_(xs, xs)] == 0
-        return self.vec_mul(xs[:, None], xs[None, :]) == 0
+        if self.factors:
+            out = np.ones((len(xs), len(xs)), dtype=bool)
+            for f, coords in zip(self.factors, _mixed_decode(xs, [f.order for f in self.factors])):
+                values, where = np.unique(coords, return_inverse=True)
+                out &= f.zero_products(values)[np.ix_(where, where)]
+            return out
+        return self._table[np.ix_(xs, xs)] == 0
 
     # -- structure ----------------------------------------------------------
 
@@ -182,30 +176,25 @@ class FiniteRing:
     @cached_property
     def units(self) -> frozenset[int]:
         """A product element is a unit exactly when every coordinate is; a
-        Z_n element exactly when it is coprime to n."""
+        Z_n element exactly when it is coprime to n; in any other ring
+        exactly when its table row contains one."""
         if self.factors:
             return _product_set(self.factors, [f.units for f in self.factors])
         if self._zn_gcd is not None:
             return frozenset(np.flatnonzero(self._zn_gcd == 1).tolist())
-        hits: list[int] = []
-        for xs, rows in self._mul_row_chunks():
-            hits.extend(xs[(rows == self.one).any(axis=1)].tolist())
-        return frozenset(hits)
+        return frozenset(np.flatnonzero((self._table == self.one).any(axis=1)).tolist())
 
     @cached_property
     def zero_divisors_nonzero(self) -> frozenset[int]:
         """Z*(R): nonzero x with xy = 0 for some nonzero y.  Every element of
-        a finite ring is a unit or a zero divisor, so for a product and for
-        Z_n this is every nonzero non-unit; other rings are scanned.
-        """
-        if self.factors or self._zn_gcd is not None:
-            return frozenset(range(1, self.order)) - self.units
-        return self.scan_zero_divisors()
+        a finite ring is a unit or a zero divisor, so this is every nonzero
+        non-unit."""
+        return frozenset(range(1, self.order)) - self.units
 
     def scan_zero_divisors(self) -> frozenset[int]:
         """Z*(R) by brute force over the multiplication rows, for any ring."""
         hits: list[int] = []
-        for xs, rows in self._mul_row_chunks():
+        for xs, rows in self._row_chunks(self.vec_mul):
             mask = (rows[:, 1:] == 0).any(axis=1) & (xs != 0)
             hits.extend(xs[mask].tolist())
         return frozenset(hits)
@@ -221,7 +210,8 @@ class FiniteRing:
     def annihilator(self, x: int) -> frozenset[int]:
         """ann(x) = {y : xy = 0}, always containing 0.  In a product it is
         the product of the factors' annihilators of x's coordinates; in Z_n
-        it is the multiples of n / gcd(x, n).
+        it is the multiples of n / gcd(x, n); elsewhere the zeros of x's
+        table row.
         """
         self._check_elem(x)
         if self._zn_gcd is not None:
@@ -231,8 +221,7 @@ class FiniteRing:
             return _product_set(
                 self.factors, [f.annihilator(int(c)) for f, c in zip(self.factors, coords)]
             )
-        row = self._mul_rows(np.array([x], dtype=np.int64))[0]
-        return frozenset(np.nonzero(row == 0)[0].tolist())
+        return frozenset(np.flatnonzero(self._table[x] == 0).tolist())
 
     @cached_property
     def is_field(self) -> bool:
@@ -243,21 +232,11 @@ class FiniteRing:
 
     @cached_property
     def is_local(self) -> bool:
-        """Zero divisors together with 0 are closed under addition, which
-        for a finite commutative ring pins down the unique maximal ideal.
-        A product of two or more factors is never local: (1,0,...) and
-        (0,1,...) are non-units summing to one.  Z_n is local exactly when
-        n is a prime power, that is when its non-units share a prime.
-        """
-        if self.factors:
-            return len(self.factors) == 1 and self.factors[0].is_local
-        if self._zn_gcd is not None:
-            return bool(np.gcd.reduce(self._zn_gcd[self._zn_gcd > 1]) > 1)
-        nonunits = np.array(sorted(set(range(self.order)) - self.units), dtype=np.int64)
-        member = np.zeros(self.order, dtype=bool)
-        member[nonunits] = True
-        sums = self.vec_add(nonunits[:, None], nonunits[None, :])
-        return bool(member[sums].all())
+        """Exactly two idempotents, 0 and 1.  A finite commutative ring is the
+        product of its local rings, one per primitive idempotent, so with k
+        local factors it has 2^k idempotents."""
+        idx = np.arange(self.order, dtype=np.int64)
+        return int((self.vec_mul(idx, idx) == idx).sum()) == 2
 
     @cached_property
     def is_reduced(self) -> bool:
@@ -409,9 +388,9 @@ def _quotient_ops(m: int, f: Sequence[int]) -> tuple[VecOp, VecOp, int]:
 
 def make_quotient(m: int, f: Sequence[int]) -> FiniteRing:
     """Z_m[x]/(f) for monic f given as coefficients, constant term first."""
-    f = tuple(int(c) % m if i < len(f) - 1 else int(c) for i, c in enumerate(f))
     if m < 2:
         raise RingError("coefficient modulus must be at least 2")
+    f = tuple(int(c) % m if i < len(f) - 1 else int(c) for i, c in enumerate(f))
     if len(f) < 2:
         raise RingError("the modulus polynomial needs degree >= 1")
     if f[-1] != 1:
@@ -480,14 +459,10 @@ def _product_set(factors: Sequence[FiniteRing], parts: Sequence[frozenset[int]])
     return frozenset(out.tolist())
 
 
-def _factor_op(table: np.ndarray | None, op: VecOp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return table[x, y] if table is not None else op(x, y)
-
-
 def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
     """R_1 x ... x R_k with mixed-radix indices, the first factor most
-    significant.  Arithmetic decodes coordinates and gathers each factor's
-    cached op table; a factor above the table-cache cap computes its own.
+    significant.  Arithmetic decodes coordinates and applies each factor's
+    own vec_add / vec_mul.
     """
     if len(factors) < 1:
         raise RingError("a product needs at least one factor")
@@ -502,16 +477,14 @@ def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
         a = _mixed_decode(i, radices)
         b = _mixed_decode(j, radices)
         return _mixed_encode(
-            [_factor_op(f._cached_add, f.vec_add, x, y) for f, x, y in zip(factors, a, b)],
-            radices,
+            [f.vec_add(x, y) for f, x, y in zip(factors, a, b)], radices
         )
 
     def vmul(i, j):
         a = _mixed_decode(i, radices)
         b = _mixed_decode(j, radices)
         return _mixed_encode(
-            [_factor_op(f._cached_mul, f.vec_mul, x, y) for f, x, y in zip(factors, a, b)],
-            radices,
+            [f.vec_mul(x, y) for f, x, y in zip(factors, a, b)], radices
         )
 
     one = int(_mixed_encode([np.int64(f.one) for f in factors], radices))

@@ -34,15 +34,27 @@ class TableRingSpec:
     products: tuple[tuple[tuple[int, ...], ...], ...]  # products[i][j] over the basis
 
     @staticmethod
-    def from_obj(obj: dict) -> "TableRingSpec":
-        return TableRingSpec(
-            name=str(obj["name"]),
-            moduli=tuple(int(m) for m in obj["moduli"]),
-            one=tuple(int(c) for c in obj["one"]),
-            products=tuple(
-                tuple(tuple(int(c) for c in cell) for cell in row) for row in obj["products"]
-            ),
-        )
+    def from_obj(obj) -> "TableRingSpec":
+        """The spec in a parsed JSON file; a TableRingError names what is
+        malformed."""
+        if not isinstance(obj, dict):
+            raise TableRingError("a table spec must be a JSON object")
+        for key in ("name", "moduli", "one", "products"):
+            if key not in obj:
+                raise TableRingError(f"table spec has no {key!r}")
+            if key != "name" and not isinstance(obj[key], list):
+                raise TableRingError(f"table spec field {key!r} must be a list")
+        try:
+            return TableRingSpec(
+                name=str(obj["name"]),
+                moduli=tuple(int(m) for m in obj["moduli"]),
+                one=tuple(int(c) for c in obj["one"]),
+                products=tuple(
+                    tuple(tuple(int(c) for c in cell) for cell in row) for row in obj["products"]
+                ),
+            )
+        except (TypeError, ValueError) as exc:
+            raise TableRingError(f"table spec entries must be integers in lists: {exc}") from None
 
     def to_obj(self) -> dict:
         return {

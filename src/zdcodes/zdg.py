@@ -27,7 +27,6 @@ from .graphs import Graph, LazyLabels, articulation_points
 from .rings import (
     FiniteRing,
     RingError,
-    _mixed_decode,
     factorize,
     make_product,
     make_zn,
@@ -70,22 +69,13 @@ class ZdGraph:
 
 
 def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
-    """Gamma(R), vertices in ascending element order.  In a product xy = 0
-    exactly when every coordinate product vanishes, so adjacency is the AND
-    of each factor's zero-product table over its distinct coordinates,
-    gathered back to the vertices.  Vertex labels are the element names,
-    computed only when read.
+    """Gamma(R), vertices in ascending element order, adjacent when their
+    product vanishes.  Vertex labels are the element names, computed only
+    when read.
     """
     elems = np.array(sorted(ring.zero_divisors_nonzero), dtype=np.int64)
     v = len(elems)
-    if ring.factors:
-        adj = np.ones((v, v), dtype=bool)
-        radices = [f.order for f in ring.factors]
-        for f, coords in zip(ring.factors, _mixed_decode(elems, radices)):
-            values, where = np.unique(coords, return_inverse=True)
-            adj &= f.zero_products(values)[np.ix_(where, where)]
-    else:
-        adj = ring.zero_products(elems)
+    adj = ring.zero_products(elems)
     ii, jj = np.nonzero(np.triu(adj, 1))
     labels = LazyLabels(v, lambda i: ring.element_name(int(elems[i])))
     g = Graph(v, zip(ii.tolist(), jj.tolist()), labels, name=f"Gamma({ring.name})")

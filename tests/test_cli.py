@@ -262,7 +262,7 @@ def test_config_file(tmp_path, capsys):
     "var, value, argv",
     [
         ("ZDCODES_RING_CAP", "abc", ("tpc-decide", "Z12")),
-        ("ZDCODES_TABLE_CACHE_CAP", "-1", ("verify", "zn-sweep", "--max-n", "20", "--jobs", "1")),
+        ("ZDCODES_RING_CAP", "-1", ("verify", "zn-sweep", "--max-n", "20", "--jobs", "1")),
         ("ZDCODES_RING_CAP", "2.5", ("ring-info", "Z4")),
     ],
 )
@@ -276,10 +276,10 @@ def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
 @pytest.mark.parametrize("value", ["many", -3, 4.5, True, None])
 def test_bad_config_value_is_named(tmp_path, capsys, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ring_cap": 64, "table_cache_cap": value}))
+    cfg.write_text(json.dumps({"ring_cap": value}))
     code, out, err = run(capsys, "--config", str(cfg), "tpc-decide", "Z12")
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "'table_cache_cap'" in err and str(cfg) in err
+    assert err.count("\n") == 1 and "'ring_cap'" in err and str(cfg) in err
 
 
 @pytest.mark.parametrize(
@@ -385,6 +385,29 @@ def test_bad_graph_file_exits_1(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([2, [1], [[[1]]]], "must be a JSON object"),
+        ({"name": "tiny", "moduli": [2], "one": [1]}, "has no 'products'"),
+        ({"name": "tiny", "moduli": 2, "one": [1], "products": [[[1]]]}, "'moduli' must be a list"),
+    ],
+    ids=["list", "no-products", "moduli-int"],
+)
+def test_bad_table_spec_file_exits_1(tmp_path, capsys, obj, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "tpc-decide", f"table:{path}")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_zero_coefficient_modulus_exits_1(capsys):
+    code, out, err = run(capsys, "tpc-decide", "Z0[x]/(x^2)")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "modulus must be at least 2" in err
+
+
+@pytest.mark.parametrize(
     "obj",
     [
         [{"op": "A2", "v": 2}],
@@ -448,7 +471,7 @@ def test_reused_parser_keeps_no_bound(capsys):
 
 def test_reused_parser_keeps_no_config(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ring_cap": 10, "table_cache_cap": 0}))
+    cfg.write_text(json.dumps({"ring_cap": 10}))
     code, _, err = run(capsys, "--config", str(cfg), "ring-info", "Z12")
     assert code == 1 and "cap 10" in err
     installed = []

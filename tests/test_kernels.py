@@ -4,6 +4,7 @@ import pytest
 
 from zdcodes import config, kernels
 from zdcodes.graphs import make_complete_bipartite, make_cycle, make_path
+from zdcodes.rings import make_quotient, make_zn
 from zdcodes.tpc import find_tpc
 
 
@@ -45,8 +46,8 @@ def test_pair_sweep_matches_definition():
 
 
 def test_config_env_and_file(monkeypatch, tmp_path):
-    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "99")
-    assert config.current().table_cache_cap == 99
+    monkeypatch.setenv("ZDCODES_RING_CAP", "99")
+    assert config.current().ring_cap == 99
     cfg = tmp_path / "s.json"
     cfg.write_text('{"ring_cap": 64, "backend": "numpy"}')
     s = config.Settings().merged_with_file(str(cfg))
@@ -58,24 +59,31 @@ def test_config_env_and_file(monkeypatch, tmp_path):
 
 
 def test_config_override(monkeypatch):
-    monkeypatch.delenv("ZDCODES_TABLE_CACHE_CAP", raising=False)
-    config.set_override(config.Settings(table_cache_cap=7))
+    monkeypatch.delenv("ZDCODES_RING_CAP", raising=False)
+    config.set_override(config.Settings(ring_cap=7))
     try:
-        assert config.current().table_cache_cap == 7
+        assert config.current().ring_cap == 7
     finally:
         config.set_override(None)
-    assert config.current().table_cache_cap == 256
+    assert config.current().ring_cap == 4096
 
 
 def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
-    # the exact search and the enumeration no longer have vertex bounds
+    # the exact search and the enumeration no longer have vertex bounds, and
+    # the ring's kind, not a cap, decides whether it reads a table
     before = config.current()
     monkeypatch.setenv("ZDCODES_SOLVER_BOUND", "bogus")
     monkeypatch.setenv("ZDCODES_ENUM_BOUND", "-1")
+    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "-1")
     assert config.current() == before
     cfg = tmp_path / "s.json"
-    cfg.write_text('{"solver_bound": "many", "enum_bound": 2.5}')
+    cfg.write_text('{"solver_bound": "many", "enum_bound": 2.5, "table_cache_cap": 0}')
     assert config.Settings().merged_with_file(str(cfg)) == config.Settings()
+    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "0")
+    small, big = make_quotient(2, (0, 0, 1)), make_quotient(2, (0,) * 9 + (1,))
+    assert small.mul(2, 2) == 0 and big.mul(256, 2) == 0
+    assert small._table is not None and big._table is not None
+    assert make_zn(9)._table is None and make_zn(9).mul(3, 6) == 0
 
 
 def test_env_vars_document_exactly_the_settings():

@@ -3,7 +3,8 @@
 A product ring's structure (units, Z*, annihilators, the local / field /
 reduced tests) and its zero-divisor graph come from the factors.  Each is
 compared here with a generic ring that only knows the same product's
-`vec_add` / `vec_mul` and therefore answers every query by scanning.
+`vec_add` / `vec_mul` and therefore answers every query from its
+multiplication table; the local test is checked by sum closure.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdcodes import config, tables
+from zdcodes import tables
 from zdcodes.rings import (
     FiniteRing,
     _mixed_decode,
@@ -23,6 +24,8 @@ from zdcodes.rings import (
     make_zn,
 )
 from zdcodes.zdg import zero_divisor_graph
+
+from test_rings import nonunits_closed_under_addition
 
 MAX_ORDER = 256
 
@@ -46,7 +49,8 @@ products = (
 
 
 def generic(ring: FiniteRing) -> FiniteRing:
-    """The same ring with no factors: every structural query scans."""
+    """The same ring with no factors: every structural query reads its
+    multiplication table."""
     return FiniteRing(
         ring.order, ring.name, "generic", ring.vec_add, ring.vec_mul, ring.one, ring.element_name
     )
@@ -79,7 +83,7 @@ def test_factor_wise_structure_matches_brute_force(factors):
     assert ring.units == brute.units
     assert ring.zero_divisors_nonzero == brute.zero_divisors_nonzero
     assert ring.zero_divisors_nonzero == ring.scan_zero_divisors()
-    assert ring.is_local == brute.is_local
+    assert ring.is_local == nonunits_closed_under_addition(brute)
     assert ring.is_field == brute.is_field
     assert ring.is_reduced == brute.is_reduced
     for x in range(ring.order):
@@ -103,21 +107,13 @@ def test_table_gather_matches_per_factor_arithmetic(factors, seed):
             per_factor(ring, "vec_mul", i[:20, None], j[None, :20])).all()
 
 
-def test_factors_above_the_table_cap_fall_back_to_their_own_arithmetic():
-    cached = make_product([make_zn(8), make_gf(3, 2), make_zn(2)])
-    config.set_override(config.Settings(table_cache_cap=1))
-    try:
-        uncached = make_product([make_zn(8), make_gf(3, 2), make_zn(2)])
-        assert all(f._cached_mul is None for f in uncached.factors)
-        idx = np.arange(cached.order)
-        for op in ("vec_mul", "vec_add"):
-            assert (getattr(uncached, op)(idx[:, None], idx[None, :]) ==
-                    getattr(cached, op)(idx[:, None], idx[None, :])).all()
-        assert uncached.units == cached.units
-        z, zc = zero_divisor_graph(uncached), zero_divisor_graph(cached)
-        assert z.elements == zc.elements and z.graph.edges == zc.graph.edges
-    finally:
-        config.set_override(None)
+def test_factor_above_256_elements_matches_brute_force():
+    ring = make_product([make_zn(2), make_quotient(2, (0,) * 9 + (1,))])
+    brute = generic(ring)
+    assert ring.units == brute.units
+    z = zero_divisor_graph(ring)
+    assert z.elements == tuple(sorted(brute.zero_divisors_nonzero))
+    assert element_edges(z) == brute_edges(brute)
 
 
 def test_product_structure_identities():

@@ -123,6 +123,7 @@ def test_annihilators():
 def test_ring_partition_and_annihilator_properties(ring):
     # units, nonzero zero-divisors and zero partition the ring
     assert len(ring.units) + len(ring.zero_divisors_nonzero) + 1 == ring.order
+    assert ring.zero_divisors_nonzero == ring.scan_zero_divisors()
     assert ring.units.isdisjoint(ring.zero_divisors_nonzero)
     for x in range(ring.order):
         ann = ring.annihilator(x)
@@ -173,14 +174,6 @@ def test_crt_bijection_preserves_operations(a, b):
             assert to_prod[zn.mul(x, y)] == prod.mul(int(to_prod[x]), int(to_prod[y]))
 
 
-def test_table_cache_respects_cap(monkeypatch):
-    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "8")
-    small, big = make_zn(8), make_zn(9)
-    assert small._cached_mul is not None
-    assert big._cached_mul is None
-    assert big.mul(3, 6) == 0  # on-demand arithmetic still works
-
-
 def test_poly_name():
     assert poly_name((0, 0, 1)) == "x^2"
     assert poly_name((4, 0, 1)) == "x^2+4"
@@ -202,7 +195,7 @@ def test_element_names():
 
 def brute_twin(ring):
     """A ring on the same arithmetic that is not marked Z_n, so every
-    structure query scans its brute-forced products."""
+    structure query reads its brute-forced multiplication table."""
     return rings.FiniteRing(
         ring.order, ring.name, "brute", ring._vec_add, ring._vec_mul, ring.one, str
     )
@@ -230,9 +223,7 @@ def check_zn_closed_forms(n, elements=None, subset=None):
     assert np.array_equal(ring.zero_products(xs), twin.zero_products(xs))
 
 
-@pytest.mark.parametrize("cap", ["0", "256"])
-def test_zn_closed_forms_match_brute_force_up_to_300(monkeypatch, cap):
-    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", cap)
+def test_zn_closed_forms_match_brute_force_up_to_300():
     for n in range(2, 301):
         check_zn_closed_forms(n)
 
@@ -243,13 +234,52 @@ PRIME_POWERS = [p**k for p in (2, 3, 5, 7, 11, 13, 61) for k in range(1, 13) if 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.one_of(st.integers(301, 4096), st.sampled_from(PRIME_POWERS)),
-    cap=st.sampled_from(["0", "256"]),
     data=st.data(),
 )
-def test_zn_closed_forms_match_brute_force_up_to_4096(n, cap, data):
+def test_zn_closed_forms_match_brute_force_up_to_4096(n, data):
     elems = st.integers(0, n - 1)
     elements = data.draw(st.lists(elems, min_size=1, max_size=16), label="annihilators")
     subset = data.draw(st.lists(elems, min_size=1, max_size=128), label="zero products")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("ZDCODES_TABLE_CACHE_CAP", cap)
-        check_zn_closed_forms(n, elements, subset)
+    check_zn_closed_forms(n, elements, subset)
+
+
+# -- quotient rings against brute force from their raw closures ------------------
+
+
+def nonunits_closed_under_addition(ring):
+    """The sum-closure test for a local ring: with 0, the non-units of a
+    finite commutative ring form its unique maximal ideal exactly when it is
+    local."""
+    nonunits = np.array(sorted(set(range(ring.order)) - ring.units), dtype=np.int64)
+    member = np.zeros(ring.order, dtype=bool)
+    member[nonunits] = True
+    return bool(member[ring.vec_add(nonunits[:, None], nonunits[None, :])].all())
+
+
+@st.composite
+def quotients(draw, max_order=256):
+    m = draw(st.integers(2, 16))
+    d = draw(st.integers(1, int(math.log(max_order + 0.5, m))))
+    low = draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d))
+    return make_quotient(m, (*low, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring=quotients())
+def test_quotient_structure_matches_brute_force(ring):
+    validate_ring(ring)
+    n = ring.order
+    idx = np.arange(n, dtype=np.int64)
+    mul = ring._vec_mul(idx[:, None], idx[None, :])
+    units = frozenset(np.flatnonzero((mul == ring.one).any(axis=1)).tolist())
+    assert ring.units == units
+    assert ring.zero_divisors_nonzero == ring.scan_zero_divisors()
+    assert ring.is_local == nonunits_closed_under_addition(ring)
+    power, nilpotent = idx.copy(), idx == 0
+    for _ in range(n):
+        power = mul[power, idx]
+        nilpotent |= power == 0
+    assert ring.is_reduced == (not nilpotent[1:].any())
+    for x in range(n):
+        assert ring.annihilator(x) == frozenset(np.flatnonzero(mul[x] == 0).tolist()), x
+    assert np.array_equal(ring.zero_products(idx), mul == 0)
