@@ -4,7 +4,6 @@ import pytest
 
 from zdcodes import config, kernels
 from zdcodes.graphs import make_complete_bipartite, make_cycle, make_path
-from zdcodes.rings import make_quotient, make_zn
 from zdcodes.tpc import find_tpc
 
 
@@ -69,8 +68,7 @@ def test_config_override(monkeypatch):
 
 
 def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
-    # the exact search and the enumeration no longer have vertex bounds, and
-    # the ring's kind, not a cap, decides whether it reads a table
+    # the exact search, the enumeration and the ring tables no longer have bounds
     before = config.current()
     monkeypatch.setenv("ZDCODES_SOLVER_BOUND", "bogus")
     monkeypatch.setenv("ZDCODES_ENUM_BOUND", "-1")
@@ -79,11 +77,6 @@ def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
     cfg = tmp_path / "s.json"
     cfg.write_text('{"solver_bound": "many", "enum_bound": 2.5, "table_cache_cap": 0}')
     assert config.Settings().merged_with_file(str(cfg)) == config.Settings()
-    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "0")
-    small, big = make_quotient(2, (0, 0, 1)), make_quotient(2, (0,) * 9 + (1,))
-    assert small.mul(2, 2) == 0 and big.mul(256, 2) == 0
-    assert small._table is not None and big._table is not None
-    assert make_zn(9)._table is None and make_zn(9).mul(3, 6) == 0
 
 
 def test_env_vars_document_exactly_the_settings():

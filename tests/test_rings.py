@@ -174,6 +174,18 @@ def test_crt_bijection_preserves_operations(a, b):
             assert to_prod[zn.mul(x, y)] == prod.mul(int(to_prod[x]), int(to_prod[y]))
 
 
+def test_table_cache_respects_cap(monkeypatch):
+    # the table-cache cap is deleted: a leftover setting is ignored and the
+    # ring's kind alone decides whether it reads a multiplication table
+    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "8")
+    small, big = make_zn(8), make_zn(9)
+    assert small._table is None and big._table is None
+    assert big.mul(3, 6) == 0  # Z_n arithmetic needs no table
+    small, big = make_quotient(2, (0, 0, 1)), make_quotient(2, (0,) * 9 + (1,))
+    assert small.mul(2, 2) == 0 and big.mul(256, 2) == 0
+    assert small._table is not None and big._table is not None
+
+
 def test_poly_name():
     assert poly_name((0, 0, 1)) == "x^2"
     assert poly_name((4, 0, 1)) == "x^2+4"
@@ -223,7 +235,10 @@ def check_zn_closed_forms(n, elements=None, subset=None):
     assert np.array_equal(ring.zero_products(xs), twin.zero_products(xs))
 
 
-def test_zn_closed_forms_match_brute_force_up_to_300():
+@pytest.mark.parametrize("cap", ["0", "256"])
+def test_zn_closed_forms_match_brute_force_up_to_300(monkeypatch, cap):
+    # the deleted ZDCODES_TABLE_CACHE_CAP changes nothing
+    monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", cap)
     for n in range(2, 301):
         check_zn_closed_forms(n)
 
