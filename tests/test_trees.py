@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -218,15 +220,33 @@ def _reference_random_family_T(seed, size_budget):
     return _reference_generate_family_T(initial, steps)
 
 
+#: `_reference_random_family_T` on seeds 0..199 at budgets 40 and 120, one
+#: record per line; re-record with `PYTHONPATH=src python tests/test_trees.py`
+REFERENCE = Path(__file__).parent / "data" / "tree_gen" / "random_family_reference.json"
+
+
+def _reference_record(seed, budget):
+    ref = _reference_random_family_T(seed, budget)
+    return {
+        "budget": budget,
+        "seed": seed,
+        "trace": ref.to_obj(),
+        "name": ref.graph.name,
+        "edges": [list(e) for e in ref.graph.edges],
+        "codes": [sorted(c) for c in ref.codes],
+    }
+
+
 @pytest.mark.parametrize("budget", [40, 120])
 def test_random_family_matches_per_candidate_reference(budget):
-    for seed in range(200):
-        got = random_family_T(seed, budget)
-        ref = _reference_random_family_T(seed, budget)
-        assert got.to_obj() == ref.to_obj(), seed
-        assert got.graph.edges == ref.graph.edges
-        assert got.graph.name == ref.graph.name
-        assert got.codes == ref.codes
+    recorded = [r for r in json.loads(REFERENCE.read_text()) if r["budget"] == budget]
+    assert [r["seed"] for r in recorded] == list(range(200))
+    for rec in recorded:
+        got = random_family_T(rec["seed"], budget)
+        assert got.to_obj() == rec["trace"], rec["seed"]
+        assert [list(e) for e in got.graph.edges] == rec["edges"]
+        assert got.graph.name == rec["name"]
+        assert [sorted(c) for c in got.codes] == rec["codes"]
 
 
 def test_growth_reports_a_stage_without_code():
@@ -294,3 +314,9 @@ def test_reduction_probe_clean_to_nine():
     checked, admitting, findings = reduction_probe(9)
     assert checked == 95 and admitting == 38
     assert findings == []
+
+
+if __name__ == "__main__":
+    records = [_reference_record(seed, budget) for budget in (40, 120) for seed in range(200)]
+    lines = [json.dumps(r, separators=(",", ":")) for r in records]
+    REFERENCE.write_text("[\n" + ",\n".join(lines) + "\n]\n")
