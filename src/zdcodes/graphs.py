@@ -2,15 +2,14 @@
 
 Vertices are dense integer indices; optional text labels ride along in a
 sidecar map so solvers never see them, and a `LazyLabels` map names a
-vertex only when its label is read.  Adjacency is kept as sorted edge list
-plus per-vertex sets and per-vertex bitmasks; the solvers read the
-bitmasks.
+vertex only when its label is read.  The one adjacency kept is a Python-int
+bitmask of each vertex's neighbourhood; the edge list is derived from it
+when read.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
 from typing import Callable
@@ -45,86 +44,112 @@ class LazyLabels(Mapping):
         return self._n
 
 
-class Graph:
-    """Simple undirected graph on vertices 0..n-1, immutable once built."""
+def bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("n", "edges", "labels", "name", "__dict__")
+
+def _layers(masks, frontier: int):
+    """Breadth-first layers, as bitmasks, from the vertex set `frontier`
+    (the first layer) in the graph with neighbourhood bitmasks `masks`."""
+    seen = frontier
+    while frontier:
+        yield frontier
+        grown = 0
+        for v in bits(frontier):
+            grown |= masks[v]
+        frontier = grown & ~seen
+        seen |= frontier
+
+
+class Graph:
+    """Simple undirected graph on vertices 0..n-1, immutable once built.
+    `neighbor_masks[v]` has bit w set exactly when v and w are adjacent."""
+
+    __slots__ = ("n", "labels", "name", "__dict__")
 
     def __init__(self, n: int, edges, labels: Mapping[int, str] | None = None, name: str = "G"):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        seen = set()
-        norm = []
+        masks = [0] * n
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise GraphError(f"self-loop at vertex {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphError(f"edge ({a},{b}) out of range for n={n}")
-            e = (a, b) if a < b else (b, a)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        self.n = n
-        self.edges = tuple(sorted(norm))
+            if masks[a] >> b & 1:
+                raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        self._setup(tuple(masks), labels, name)
+
+    @classmethod
+    def from_adjacency(
+        cls, adj: np.ndarray, labels: Mapping[int, str] | None = None, name: str = "G"
+    ) -> "Graph":
+        """The graph of a symmetric boolean adjacency matrix with a clear
+        diagonal; row v, packed little-endian, is the bitmask of N(v)."""
+        rows = np.packbits(adj, axis=1, bitorder="little")
+        g = cls.__new__(cls)
+        g._setup(tuple(int.from_bytes(row, "little") for row in rows), labels, name)
+        return g
+
+    def _setup(self, masks: tuple[int, ...], labels, name: str) -> None:
+        n = len(masks)
         if labels is not None:
             bad = [v for v in labels if not (0 <= v < n)]
             if bad:
                 raise GraphError(f"label for unknown vertex {bad[0]}")
         if labels and not isinstance(labels, LazyLabels):
             labels = dict(labels)
+        self.n = n
+        self.neighbor_masks = masks
         self.labels = labels or None
         self.name = name
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as (a, b) with a < b, in ascending order."""
+        return tuple(
+            (a, b) for a, m in enumerate(self.neighbor_masks) for b in bits(m >> a + 1 << a + 1)
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
+            and self.neighbor_masks == other.neighbor_masks
             and self.labels == other.labels
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.neighbor_masks)
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)}, name={self.name!r})"
+        return f"Graph(n={self.n}, m={self.edge_count}, name={self.name!r})"
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        acc: list[set[int]] = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            acc[a].add(b)
-            acc[b].add(a)
-        return tuple(frozenset(s) for s in acc)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for a, b in self.edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        return tuple(masks)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.neighbor_sets[v]
+    @property
+    def edge_count(self) -> int:
+        return sum(self.degree_sequence()) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.neighbor_sets[v])
+        return self.neighbor_masks[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.neighbor_sets)
+        return tuple(m.bit_count() for m in self.neighbor_masks)
 
     def is_regular(self) -> int | None:
         """The common degree t when the graph is t-regular, else None."""
         if self.n == 0:
             return None
-        degs = {len(s) for s in self.neighbor_sets}
+        degs = set(self.degree_sequence())
         return degs.pop() if len(degs) == 1 else None
 
     def end_vertices(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.degree(v) == 1)
+        return frozenset(v for v, m in enumerate(self.neighbor_masks) if m.bit_count() == 1)
 
     def relabeled(self, labels: dict[int, str] | None, name: str | None = None) -> "Graph":
         return Graph(self.n, self.edges, labels, name if name is not None else self.name)
@@ -134,33 +159,21 @@ class Graph:
     def bfs_distances(self, source: int) -> list[int]:
         """-1 marks unreachable vertices."""
         dist = [-1] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            for w in self.neighbor_sets[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
+        for d, layer in enumerate(_layers(self.neighbor_masks, 1 << source)):
+            for v in bits(layer):
+                dist[v] = d
         return dist
 
     def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
+        """Vertex lists in ascending order, by least vertex."""
+        rest = (1 << self.n) - 1
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.neighbor_sets[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+        while rest:
+            comp = 0
+            for layer in _layers(self.neighbor_masks, rest & -rest):
+                comp |= layer
+            comps.append(list(bits(comp)))
+            rest &= ~comp
         return comps
 
     def is_connected(self) -> bool:
@@ -171,40 +184,29 @@ class Graph:
 
     @cached_property
     def _is_tree(self) -> bool:
-        return self.n >= 1 and len(self.edges) == self.n - 1 and self.is_connected()
+        return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
 
     def is_star(self) -> bool:
         """K_{1,k} for some k >= 1 (P_2 counts as K_{1,1})."""
-        if self.n < 2 or len(self.edges) != self.n - 1:
+        if self.n < 2 or self.edge_count != self.n - 1:
             return False
-        degs = sorted(self.degree(v) for v in range(self.n))
+        degs = sorted(self.degree_sequence())
         return degs[-1] == self.n - 1 and all(d == 1 for d in degs[:-1])
 
 
 def diameter(g: Graph) -> int | float:
     """Longest shortest-path length; inf when disconnected, 0 for n <= 1.
-    Each breadth-first search grows a bitmask frontier by OR-ing the
-    neighbourhood masks of its members.  Twins (equal neighbourhoods) are
-    at distance 2 and equally far from every other vertex, so one search
-    per distinct neighbourhood covers every eccentricity; with n >= 2 a
-    vertex without neighbours makes its own search return inf."""
+    Twins (equal neighbourhoods) are at distance 2 and equally far from
+    every other vertex, so one breadth-first search per distinct
+    neighbourhood covers every eccentricity; with n >= 2 a vertex without
+    neighbours makes its own search return inf."""
     masks = g.neighbor_masks
     full = (1 << g.n) - 1
     best = 0
     for v in dict(zip(masks, range(g.n))).values():
-        seen = frontier = 1 << v
-        depth = 0
-        while True:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            depth += 1
+        seen = 0
+        for depth, layer in enumerate(_layers(masks, 1 << v)):
+            seen |= layer
         if seen != full:
             return float("inf")
         best = max(best, depth)
@@ -223,7 +225,7 @@ def articulation_points(g: Graph) -> frozenset[int]:
         if disc[root] != -1:
             continue
         root_children = 0
-        stack = [(root, iter(sorted(g.neighbor_sets[root])))]
+        stack = [(root, bits(g.neighbor_masks[root]))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -236,7 +238,7 @@ def articulation_points(g: Graph) -> frozenset[int]:
                     timer += 1
                     if v == root:
                         root_children += 1
-                    stack.append((w, iter(sorted(g.neighbor_sets[w]))))
+                    stack.append((w, bits(g.neighbor_masks[w])))
                     advanced = True
                     break
                 elif w != parent[v]:
@@ -261,7 +263,8 @@ def is_matching(g: Graph, code) -> bool:
     bad = [v for v in cs if not (0 <= v < g.n)]
     if bad:
         raise GraphError(f"code vertex {bad[0]} out of range")
-    return all(len(g.neighbor_sets[v] & cs) == 1 for v in cs)
+    cmask = sum(1 << v for v in cs)
+    return all((g.neighbor_masks[v] & cmask).bit_count() == 1 for v in cs)
 
 
 # -- generators ------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact total-perfect-code search and the edge-pair sweep, on bitsets.
 
 A graph is given by its open neighbourhoods as Python-int bitmasks
-(`Graph.neighbor_masks`).  A total perfect code C covers every vertex
+(`Graph.neighbor_masks`), the only adjacency either routine reads; neither
+needs an edge list.  A total perfect code C covers every vertex
 exactly once by the sets N(c), c in C, so the search is Knuth's Algorithm X
 for exact cover ("Dancing Links", arXiv:cs/0011047) with vertices as both
 items and options.  Choosing c covers N(c) and removes from the candidates
@@ -96,16 +97,21 @@ def cover_codes(masks, limit: int) -> list[frozenset[int]]:
     return found
 
 
-def pair_sweep(masks, edges, find_all: bool = False) -> list[tuple[int, int]]:
-    """Edges (x, y) among `edges`, in the order given, that are total perfect
-    codes of the graph with neighbourhood bitmasks `masks`: N(x) and N(y)
-    are disjoint and together hold every vertex."""
+def pair_sweep(masks) -> tuple[int, int] | None:
+    """The first edge (x, y), x < y, in ascending order that is a total
+    perfect code of the graph with neighbourhood bitmasks `masks`, or None.
+
+    {x, y} is a code exactly when N(x) and N(y) partition the vertices,
+    that is when N(y) is the complement of N(x); such x and y are adjacent,
+    since neither lies in its own neighbourhood.  The first x with a partner
+    is the least vertex of any code pair, and its least partner completes
+    the first code edge."""
     full = (1 << len(masks)) - 1
-    hits: list[tuple[int, int]] = []
-    for x, y in edges:
-        a, b = masks[x], masks[y]
-        if not a & b and a | b == full:
-            hits.append((x, y))
-            if not find_all:
-                break
-    return hits
+    least: dict[int, int] = {}  # neighbourhood mask -> least vertex with it
+    for v, m in enumerate(masks):
+        least.setdefault(m, v)
+    for x, m in enumerate(masks):
+        y = least.get(full ^ m)
+        if y is not None:
+            return x, y
+    return None

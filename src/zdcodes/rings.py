@@ -252,12 +252,6 @@ class FiniteRing:
             p = self.vec_mul(p, p)
         return bool((p[1:] != 0).all())
 
-    def nilpotents(self) -> frozenset[int]:
-        p = np.arange(self.order, dtype=np.int64)
-        for _ in range(max(1, (self.order - 1).bit_length())):
-            p = self.vec_mul(p, p)
-        return frozenset(np.nonzero(p == 0)[0].tolist())
-
     # -- presentation -------------------------------------------------------
 
     def element_name(self, x: int) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import kernels
-from .graphs import Graph, GraphError, make_complete_bipartite
+from .graphs import Graph, GraphError, bits, make_complete_bipartite
 
 CodeSet = frozenset
 
@@ -172,7 +172,7 @@ def tree_tpc(t: Graph, force_include: int | None = None) -> frozenset[int] | Non
     parent = [-1] * n
     order = [root]
     for v in order:
-        for w in sorted(t.neighbor_sets[v]):
+        for w in bits(t.neighbor_masks[v]):
             if w != parent[v] and parent[w] == -1 and w != root:
                 parent[w] = v
                 order.append(w)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, make_complete, make_path, corona
+from .graphs import Graph, bits, corona, make_complete, make_path
 from .tpc import is_total_perfect_code, tree_tpc
 
 OPS = ("A1", "A2", "A3", "A4")
@@ -51,10 +51,10 @@ def private_neighborhood(g: Graph, subset, v: int) -> frozenset[int]:
     s = frozenset(subset)
     if v not in s:
         raise ValueError(f"vertex {v} is not in the subset")
-    others = set(s - {v})
+    others = 0
     for u in s - {v}:
-        others |= g.neighbor_sets[u]
-    return frozenset(g.neighbor_sets[v] - others)
+        others |= 1 << u | g.neighbor_masks[u]
+    return frozenset(bits(g.neighbor_masks[v] & ~others))
 
 
 def is_quasi_isolated(g: Graph, subset, v: int) -> bool:
@@ -367,28 +367,15 @@ def tree_canon(t: Graph) -> tuple:
     """Isomorphism-invariant encoding (AHU from the centroid centers)."""
 
     def encode(root: int, parent: int) -> tuple:
-        subs = sorted(encode(w, root) for w in t.neighbor_sets[root] if w != parent)
+        subs = sorted(encode(w, root) for w in bits(t.neighbor_masks[root]) if w != parent)
         return tuple(subs)
 
-    # centers: repeatedly strip leaves
-    if t.n == 1:
-        return ((),)
-    degrees = {v: t.degree(v) for v in range(t.n)}
-    layer = [v for v in range(t.n) if degrees[v] <= 1]
-    remaining = t.n
-    alive = set(range(t.n))
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            remaining -= 1
-            for w in t.neighbor_sets[v]:
-                if w in alive:
-                    degrees[w] -= 1
-                    if degrees[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(encode(c, -1) for c in layer))
+    # centers: strip every leaf while more than two vertices remain
+    masks = t.neighbor_masks
+    alive = (1 << t.n) - 1
+    while alive.bit_count() > 2:
+        alive ^= sum(1 << v for v in bits(alive) if (masks[v] & alive).bit_count() <= 1)
+    return tuple(sorted(encode(c, -1) for c in bits(alive)))
 
 
 def _induced_tree(t: Graph, keep: list[int]) -> Graph:
@@ -438,7 +425,7 @@ def reducible_to_legal_path(t: Graph, _memo: dict | None = None) -> bool:
         return result
     # reverse A2: delete one leaf
     for u in sorted(t.end_vertices()):
-        (support,) = t.neighbor_sets[u]
+        (support,) = bits(t.neighbor_masks[u])
         keep = [v for v in range(t.n) if v != u]
         rest = _induced_tree(t, keep)
         rv = keep.index(support)
@@ -454,7 +441,7 @@ def reducible_to_legal_path(t: Graph, _memo: dict | None = None) -> bool:
             if not _is_path_graph(piece):
                 continue
             n = piece.n
-            head_deg_in_piece = sum(1 for w in t.neighbor_sets[head] if w in comp)
+            head_deg_in_piece = sum(1 for w in bits(t.neighbor_masks[head]) if w in comp)
             is_endpoint = head_deg_in_piece <= 1
             ok_a1 = is_endpoint and n >= 5 and n % 4 != 2
             ok_a4 = (not is_endpoint) and n % 2 == 1 and n % 8 != 3
@@ -482,9 +469,7 @@ def _component_without_edge(t: Graph, start: int, blocked: int) -> set[int]:
     stack = [start]
     while stack:
         v = stack.pop()
-        for w in t.neighbor_sets[v]:
-            if w == blocked and v == start:
-                continue
+        for w in bits(t.neighbor_masks[v]):
             if w not in comp and w != blocked:
                 comp.add(w)
                 stack.append(w)

@@ -51,8 +51,7 @@ class ZdGraph:
     @cached_property
     def code_pair(self) -> tuple[int, int] | None:
         """The first edge, in edge order, that is a total perfect code."""
-        hits = kernels.pair_sweep(self.graph.neighbor_masks, self.graph.edges)
-        return hits[0] if hits else None
+        return kernels.pair_sweep(self.graph.neighbor_masks)
 
     @cached_property
     def codes(self) -> list[frozenset[int]]:
@@ -74,11 +73,10 @@ def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
     when read.
     """
     elems = np.array(sorted(ring.zero_divisors_nonzero), dtype=np.int64)
-    v = len(elems)
     adj = ring.zero_products(elems)
-    ii, jj = np.nonzero(np.triu(adj, 1))
-    labels = LazyLabels(v, lambda i: ring.element_name(int(elems[i])))
-    g = Graph(v, zip(ii.tolist(), jj.tolist()), labels, name=f"Gamma({ring.name})")
+    np.fill_diagonal(adj, False)
+    labels = LazyLabels(len(elems), lambda i: ring.element_name(int(elems[i])))
+    g = Graph.from_adjacency(adj, labels, name=f"Gamma({ring.name})")
     return ZdGraph(ring, g, tuple(elems.tolist()))
 
 
@@ -166,15 +164,28 @@ def local_decider(ring: FiniteRing, graph: ZdGraph | None = None) -> Verdict:
 
 
 def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
-    """Order 16, local, |Z(R)| > 2, and no element with |ann(x)| = 2: the
-    structural fingerprint shared by exactly the seven packaged fixtures.
+    """Order 16, local, |Z*(R)| = 7, no element with |ann(x)| = 2, and
+    exactly one vertex of Gamma(R) adjacent to all others.
+
+    Axtell, Baeth and Stickles (Comm. Algebra 39, 2011) show that the graph
+    of a finite local ring, on three or more vertices, has a cut vertex
+    exactly when some |ann(x)| = 2 or the ring is one of seven rings of
+    order 16, the packaged fixtures.  In each of the seven, m = Z(R) has 8
+    elements and ann(m) = {0, z}, z being the cut vertex.  A vertex u
+    adjacent to all others lies in ann(m), as u^2 = u(u - x) = 0 for any
+    other vertex x; so the last condition says |ann(m)| = 2.  Order 16 and
+    no |ann(x)| = 2 alone also pass the rings with residue field F4 (Gamma
+    is K3) and F2[x,y]/(x^3, xy, y^2) (ann(m) = {0, x^2, y, x^2 + y}),
+    whose graphs have no cut vertex.
     """
-    if ring.order != 16 or not ring.is_local or ring.is_field:
-        return False
     zdivs = ring.zero_divisors_nonzero
-    if len(zdivs) + 1 <= 2:
+    if ring.order != 16 or not ring.is_local or len(zdivs) != 7:
         return False
-    return all(len(ring.annihilator(x)) != 2 for x in zdivs)
+    if any(len(ring.annihilator(x)) == 2 for x in zdivs):
+        return False
+    masks = zero_divisor_graph(ring).graph.neighbor_masks
+    full = (1 << len(masks)) - 1
+    return sum(m | 1 << v == full for v, m in enumerate(masks)) == 1
 
 
 @dataclass(frozen=True)
@@ -226,9 +237,10 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
         if not ok:
             findings.append(f"{ring.name}: non-degree-one code member is not a cut vertex")
 
+    exceptional = is_exceptional_local_fingerprint(ring)
     if z.graph.n >= 3:
         has_small_ann = any(len(ring.annihilator(x)) == 2 for x in ring.zero_divisors_nonzero)
-        expected = has_small_ann or is_exceptional_local_fingerprint(ring)
+        expected = has_small_ann or exceptional
         ok = bool(art) == expected
         checks.append(
             (
@@ -236,7 +248,7 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
                 ok,
                 f"cut vertices {'present' if art else 'absent'}; "
                 f"ann-2 element {'present' if has_small_ann else 'absent'}; "
-                f"exceptional fingerprint {is_exceptional_local_fingerprint(ring)}",
+                f"exceptional fingerprint {exceptional}",
             )
         )
         if not ok:
@@ -244,7 +256,7 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
     else:
         checks.append(("cut-dichotomy", True, "skipped: fewer than three vertices"))
 
-    if is_exceptional_local_fingerprint(ring):
+    if exceptional:
         ok = bool(art) and code is None
         checks.append(
             ("exceptional-cut-no-code", ok, f"articulation {sorted(art)}, code {code}")

@@ -18,6 +18,7 @@ import pytest
 
 from zdcodes import suites, tables, zdg
 from zdcodes.graphs import (
+    bits,
     corona,
     fixture_graph8,
     make_complete,
@@ -114,7 +115,7 @@ def test_c4_matching_and_evenness(reports):
     for g, code in witnesses:
         assert is_total_perfect_code(g, code)
         assert len(code) % 2 == 0
-        assert all(len(g.neighbor_sets[v] & code) == 1 for v in code)
+        assert all(len(set(bits(g.neighbor_masks[v])) & code) == 1 for v in code)
         t = g.is_regular()
         if t is not None and t >= 1:
             assert t * len(code) == g.n

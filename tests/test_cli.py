@@ -337,7 +337,7 @@ def test_decider_discrepancy_exits_2(capsys, monkeypatch):
     import zdcodes.cli as cli_mod
 
     # sabotage one route: a disagreement between deciders must surface as exit 2
-    monkeypatch.setattr(cli_mod.zdg, "tpc_pair_solver", lambda z, find_all=False: None)
+    monkeypatch.setattr(cli_mod.zdg, "tpc_pair_solver", lambda z: None)
     code, out, _ = run(capsys, "tpc-decide", "Z12")
     assert code == 2 and "DISCREPANCY" in out
 

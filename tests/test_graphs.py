@@ -217,10 +217,22 @@ def test_dot_quotes_names_and_labels():
     )
 
 
-def test_neighbor_masks_match_sets():
-    g = fixture_graph8()
-    for v in range(g.n):
-        assert g.neighbor_masks[v] == sum(1 << w for w in g.neighbor_sets[v])
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_neighbor_masks_match_networkx(data):
+    n = data.draw(st.integers(0, 20))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(chosen, flips)]
+    g = Graph(n, edges)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    assert g.neighbor_masks == tuple(sum(1 << w for w in h.adj[v]) for v in range(n))
+    assert g.edges == tuple(sorted(chosen))
+    assert g.degree_sequence() == tuple(h.degree[v] for v in range(n))
+    assert g.edge_count == h.number_of_edges()
 
 
 # -- networkx as an independent reference ------------------------------------

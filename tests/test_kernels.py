@@ -39,9 +39,9 @@ def test_search_limit_short_circuits():
 
 def test_pair_sweep_matches_definition():
     g = make_path(4)
-    assert kernels.pair_sweep(g.neighbor_masks, g.edges) == [(1, 2)]
-    assert kernels.pair_sweep(g.neighbor_masks, g.edges, find_all=True) == [(1, 2)]
-    assert kernels.pair_sweep(g.neighbor_masks, []) == []
+    assert kernels.pair_sweep(g.neighbor_masks) == (1, 2)
+    assert kernels.pair_sweep(make_path(5).neighbor_masks) is None
+    assert kernels.pair_sweep([]) is None
 
 
 def test_config_env_and_file(monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from zdcodes.graphs import (
     Graph,
+    bits,
     corona,
     fixture_graph8,
     make_complete,
@@ -39,7 +40,7 @@ def brute_tpcs(g: Graph) -> list[frozenset[int]]:
     for r in range(g.n + 1):
         for c in combinations(range(g.n), r):
             cs = set(c)
-            if all(len(g.neighbor_sets[v] & cs) == 1 for v in range(g.n)):
+            if all(len(set(bits(g.neighbor_masks[v])) & cs) == 1 for v in range(g.n)):
                 out.append(frozenset(c))
     return sorted(out, key=sorted)
 
@@ -196,7 +197,7 @@ def test_matching_and_evenness_for_all_found_codes():
     for g in small_corpus():
         for code in brute_tpcs(g):
             assert len(code) % 2 == 0
-            assert all(len(g.neighbor_sets[v] & code) == 1 for v in code)
+            assert all(len(set(bits(g.neighbor_masks[v])) & code) == 1 for v in code)
 
 
 # -- tree dynamic program ------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from test_solver import gnp_graphs
 from zdcodes import trees
-from zdcodes.graphs import Graph, make_complete, make_cycle, make_path
+from zdcodes.graphs import Graph, bits, make_complete, make_cycle, make_path
 from zdcodes.tpc import is_total_perfect_code, tree_tpc
 from zdcodes.trees import (
     BuildTrace,
@@ -42,7 +42,7 @@ def test_private_neighborhood_examples():
     assert private_neighborhood(g, {1, 2}, 1) == {0}
     # singleton subsets subtract nothing: pn(v, {v}) is the neighbourhood
     for v in range(g.n):
-        assert private_neighborhood(g, {v}, v) == g.neighbor_sets[v]
+        assert private_neighborhood(g, {v}, v) == set(bits(g.neighbor_masks[v]))
     with pytest.raises(ValueError):
         private_neighborhood(p3, {0}, 1)
 
@@ -56,7 +56,7 @@ def test_private_neighborhood_matches_sole_neighbour_form_outside_s():
             alt = {
                 u
                 for u in range(g.n)
-                if u not in s and g.neighbor_sets[u] & s == {v}
+                if u not in s and set(bits(g.neighbor_masks[u])) & s == {v}
             }
             assert pn == alt
 

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdcodes import tables, zdg
-from zdcodes.graphs import diameter
+from zdcodes.graphs import Graph, LazyLabels, bits, diameter
+from zdcodes.ringexpr import ring_from_text
 from zdcodes.rings import RingError, make_gf, make_product, make_quotient, make_zn
 from zdcodes.tpc import find_tpc
 from zdcodes.zdg import (
@@ -46,6 +50,37 @@ def test_gamma_shapes():
     assert zero_divisor_graph(make_zn(7)).graph.n == 0
 
 
+def _small_rings():
+    """Z_n, products of two or three small factors, and the catalog table
+    rings alone or times a field."""
+    factor = st.sampled_from([make_zn(k) for k in (2, 3, 4, 6, 8, 9)] + [make_gf(2, 2)])
+    catalog = st.sampled_from(tables.catalog_names()).map(tables.catalog_ring)
+    return st.one_of(
+        st.integers(2, 400).map(make_zn),
+        st.lists(factor, min_size=2, max_size=3).map(make_product),
+        catalog,
+        st.tuples(catalog, st.sampled_from([make_zn(2), make_zn(3)])).map(list).map(make_product),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_rings())
+def test_mask_built_gamma_matches_validating_constructor(ring):
+    z = zero_divisor_graph(ring)
+    elems = np.array(z.elements, dtype=np.int64)
+    assert list(elems) == sorted(ring.zero_divisors_nonzero)
+    adj = ring.zero_products(elems)
+    labels = LazyLabels(len(elems), lambda i: ring.element_name(int(elems[i])))
+    ref = Graph(len(elems), zip(*np.nonzero(np.triu(adj, 1))), labels, name=f"Gamma({ring.name})")
+    assert z.graph.neighbor_masks == ref.neighbor_masks
+    assert z.graph.edges == ref.edges
+    assert dict(z.graph.labels or {}) == dict(ref.labels or {})
+    assert z.graph.name == ref.name
+    # the sweep's edge is the first edge that ring arithmetic calls a code
+    first = next((e for e in ref.edges if zdg.is_code_pair(ring, *z.to_elements(e))), None)
+    assert z.code_pair == first
+
+
 def test_cap_ann():
     assert cap_ann(make_zn(12), 2) == {6}
     assert cap_ann(make_zn(16), 8) == {2, 4, 6, 10, 12, 14}
@@ -58,7 +93,7 @@ def test_cap_ann_is_adjacency_and_symmetric():
     for ring in (make_zn(12), make_zn(16), make_product([make_zn(2), make_zn(8)])):
         z = zero_divisor_graph(ring)
         for v, x in enumerate(z.elements):
-            nb = {z.elements[w] for w in z.graph.neighbor_sets[v]}
+            nb = {z.elements[w] for w in bits(z.graph.neighbor_masks[v])}
             assert cap_ann(ring, x) == nb
             for y in nb:
                 assert x in cap_ann(ring, y)
@@ -166,6 +201,39 @@ def test_exceptional_fingerprint():
         assert is_exceptional_local_fingerprint(tables.catalog_ring(slug))
     assert not is_exceptional_local_fingerprint(make_zn(16))
     assert not is_exceptional_local_fingerprint(tables.catalog_ring("Z2XY-RAD2"))
+
+
+#: F2[x,y]/(x^3, xy, y^2) on the basis 1, x, x^2, y
+F2XY_X3_XY_Y2 = {
+    "name": "F2[x,y]/(x^3,xy,y^2)",
+    "moduli": [2, 2, 2, 2],
+    "one": [1, 0, 0, 0],
+    "products": [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ring_from_text("Z4[x]/(x^2+x+1)"),
+        lambda: ring_from_text("Z2[x]/(x^4+x^2+1)"),
+        lambda: tables.make_table_ring(tables.TableRingSpec.from_obj(F2XY_X3_XY_Y2)),
+    ],
+    ids=["GR(4,2)", "F4[t]/(t^2)", "F2[x,y]/(x^3,xy,y^2)"],
+)
+def test_fingerprint_rejects_order16_rings_without_cut_vertex(build):
+    # local of order 16 with no |ann(x)| = 2, but 3 vertices adjacent to all others
+    ring = build()
+    assert ring.order == 16 and ring.is_local
+    assert not any(len(ring.annihilator(x)) == 2 for x in ring.zero_divisors_nonzero)
+    assert not is_exceptional_local_fingerprint(ring)
+    rep = cut_vertex_report(ring)
+    assert not rep.articulation_elements and not rep.findings
 
 
 def test_reduced_decider():
