@@ -310,10 +310,32 @@ def test_all_trees_counts_and_prufer_coverage():
         assert seen == canon_set
 
 
+#: code-admitting trees, by order, to which no reverse A1/A2/A4 step
+#: applies (`reduction_probe` lists them as findings)
+IRREDUCIBLE = {
+    10: [((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (5, 7), (6, 8), (7, 9))],
+    11: [
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (5, 7), (6, 8), (7, 9), (8, 10)),
+        ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (5, 7), (6, 8), (6, 9), (7, 10)),
+    ],
+}
+
+
 def test_reduction_probe_clean_to_nine():
     checked, admitting, findings = reduction_probe(9)
     assert checked == 95 and admitting == 38
     assert findings == []
+    # past nine vertices the probe reports irreducible trees
+    for max_n, want_checked, want_admitting in ((10, 201, 66), (11, 436, 114)):
+        checked, admitting, findings = reduction_probe(max_n)
+        assert (checked, admitting) == (want_checked, want_admitting)
+        assert findings == [
+            f"irreducible code-admitting tree on {n} vertices: {edges}"
+            for n in range(10, max_n + 1)
+            for edges in IRREDUCIBLE[n]
+        ]
+    spider = Graph(10, IRREDUCIBLE[10][0])
+    assert is_total_perfect_code(spider, {0, 3, 6, 7, 8, 9})
 
 
 if __name__ == "__main__":
