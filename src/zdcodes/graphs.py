@@ -4,7 +4,9 @@ Vertices are dense integer indices; optional text labels ride along in a
 sidecar map so solvers never see them, and a `LazyLabels` map names a
 vertex only when its label is read.  The one adjacency kept is a Python-int
 bitmask of each vertex's neighbourhood; the edge list is derived from it
-when read.
+when read.  `Graph(n, edges)` validates its edges; `Graph.from_masks` is the
+one unchecked constructor, for callers that derive the masks of a graph
+already known to be valid.
 """
 
 from __future__ import annotations
@@ -88,15 +90,23 @@ class Graph:
         self._setup(tuple(masks), labels, name)
 
     @classmethod
+    def from_masks(
+        cls, masks, labels: Mapping[int, str] | None = None, name: str = "G"
+    ) -> "Graph":
+        """The graph whose vertex v has neighbourhood bitmask `masks[v]`,
+        unchecked: the masks must be symmetric with clear diagonal bits."""
+        g = cls.__new__(cls)
+        g._setup(tuple(masks), labels, name)
+        return g
+
+    @classmethod
     def from_adjacency(
         cls, adj: np.ndarray, labels: Mapping[int, str] | None = None, name: str = "G"
     ) -> "Graph":
         """The graph of a symmetric boolean adjacency matrix with a clear
         diagonal; row v, packed little-endian, is the bitmask of N(v)."""
         rows = np.packbits(adj, axis=1, bitorder="little")
-        g = cls.__new__(cls)
-        g._setup(tuple(int.from_bytes(row, "little") for row in rows), labels, name)
-        return g
+        return cls.from_masks((int.from_bytes(row, "little") for row in rows), labels, name)
 
     def _setup(self, masks: tuple[int, ...], labels, name: str) -> None:
         n = len(masks)
@@ -152,7 +162,8 @@ class Graph:
         return frozenset(v for v, m in enumerate(self.neighbor_masks) if m.bit_count() == 1)
 
     def relabeled(self, labels: dict[int, str] | None, name: str | None = None) -> "Graph":
-        return Graph(self.n, self.edges, labels, name if name is not None else self.name)
+        name = name if name is not None else self.name
+        return Graph.from_masks(self.neighbor_masks, labels, name)
 
     # -- traversal ---------------------------------------------------------
 
@@ -297,8 +308,7 @@ def make_complete_bipartite(m: int, n: int) -> Graph:
 def make_star(n: int) -> Graph:
     if n < 1:
         raise GraphError("star needs n >= 1 leaves")
-    g = make_complete_bipartite(1, n)
-    return Graph(g.n, g.edges, name=f"star{n}")
+    return Graph.from_masks(make_complete_bipartite(1, n).neighbor_masks, name=f"star{n}")
 
 
 def corona(g: Graph, h: Graph) -> Graph:

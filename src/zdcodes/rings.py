@@ -203,10 +203,6 @@ class FiniteRing:
     def num_units(self) -> int:
         return len(self.units)
 
-    @property
-    def num_nonzero(self) -> int:
-        return self.order - 1
-
     def annihilator(self, x: int) -> frozenset[int]:
         """ann(x) = {y : xy = 0}, always containing 0.  In a product it is
         the product of the factors' annihilators of x's coordinates; in Z_n

@@ -163,9 +163,9 @@ def tree_tpc(t: Graph, force_include: int | None = None) -> frozenset[int] | Non
 
     Agrees with find_tpc on existence by construction; the suites assert it.
     """
-    if not t.is_tree():
-        raise NotATreeError("input is not a tree (connected with |E| = |V|-1)")
     n = t.n
+    if t.edge_count != n - 1:
+        raise NotATreeError(f"input is not a tree: {t.edge_count} edges on {n} vertices")
     if n == 1:
         return None
     root = force_include if force_include is not None else 0
@@ -176,6 +176,8 @@ def tree_tpc(t: Graph, force_include: int | None = None) -> frozenset[int] | Non
             if w != parent[v] and parent[w] == -1 and w != root:
                 parent[w] = v
                 order.append(w)
+    if len(order) != n:
+        raise NotATreeError("input is not a tree: it is disconnected")
     children = [[] for _ in range(n)]
     for v in order[1:]:
         children[parent[v]].append(v)

@@ -10,10 +10,15 @@ trees can be shrunk back to a legal path.
 Grow steps enforce the documented preconditions as written; whether a step
 actually preserves code existence is re-verified with the tree solver after
 every application, so a wrong congruence surfaces as an explicit finding
-rather than silent corruption (the A1/A3 length classes are implemented
-as n >= 5 with n != 2 mod 4, which also lets through n = 1 mod 4 even
-though the attached path then has no code of its own - the verification
-step is what catches that).
+rather than silent corruption.  The A1/A3 length classes are implemented
+as n >= 5 with n != 2 mod 4.  Attaching a path by its endpoint keeps a code
+for n = 0, 1 mod 4 (for n = 1 mod 4 the bridge covers the path head,
+although the path alone has no code); n = 3 mod 4 lets through steps whose
+tree has no code, and the verification step is what catches those.
+
+A3 attaches exactly like A1: its condition, a non-quasi-isolated attachment
+vertex, tests a member of the code, and no member of a set is
+quasi-isolated with respect to it (see `is_quasi_isolated`).
 """
 
 from __future__ import annotations
@@ -143,11 +148,17 @@ class BuildTrace:
 
 
 def _attach_path(t: Graph, v: int, n: int, join_offset: int) -> Graph:
+    """t plus a path on the new vertices t.n..t.n+n-1, its vertex
+    `join_offset` joined to v."""
     base = t.n
-    edges = list(t.edges)
-    edges.extend((base + i, base + i + 1) for i in range(n - 1))
-    edges.append((v, base + join_offset))
-    return Graph(t.n + n, edges, name=t.name)
+    span = (1 << n) - 1
+    masks = list(t.neighbor_masks)
+    # path vertex i is adjacent to path vertices i - 1 and i + 1
+    masks.extend((5 << i >> 1 & span) << base for i in range(n))
+    head = base + join_offset
+    masks[v] |= 1 << head
+    masks[head] |= 1 << v
+    return Graph.from_masks(masks, name=t.name)
 
 
 def apply_step(t: Graph, code, step: TreeBuildStep) -> Graph:
@@ -164,7 +175,7 @@ def apply_step(t: Graph, code, step: TreeBuildStep) -> Graph:
         raise StepPreconditionError(f"attachment vertex {step.v} is not in the supplied code")
 
     if step.op == "A2":
-        return Graph(t.n + 1, list(t.edges) + [(step.v, t.n)], name=t.name)
+        return _attach_path(t, step.v, 1, 0)
 
     n = step.n
     if step.op in ("A1", "A3"):
@@ -172,11 +183,6 @@ def apply_step(t: Graph, code, step: TreeBuildStep) -> Graph:
             raise StepPreconditionError(f"{step.op} needs a path of length at least 5, got {n}")
         if n % 4 == 2:
             raise StepPreconditionError(f"{step.op} forbids path lengths of 2 mod 4, got {n}")
-        if step.op == "A3" and is_quasi_isolated(t, cs, step.v):
-            raise StepPreconditionError(
-                f"A3 requires a non-quasi-isolated attachment vertex, but {step.v} is "
-                "quasi-isolated with respect to the code"
-            )
         return _attach_path(t, step.v, n, join_offset=0)
 
     # A4: attach by the k-support vertex of the new path's first leaf
@@ -184,11 +190,6 @@ def apply_step(t: Graph, code, step: TreeBuildStep) -> Graph:
         raise StepPreconditionError(f"A4 needs an odd path length, got {n}")
     if n % 8 == 3:
         raise StepPreconditionError(f"A4 forbids path lengths of 3 mod 8, got {n}")
-    if is_quasi_isolated(t, cs, step.v):
-        raise StepPreconditionError(
-            f"A4 requires a non-quasi-isolated attachment vertex, but {step.v} is "
-            "quasi-isolated with respect to the code"
-        )
     if not (0 <= step.k <= n - 1):
         raise StepPreconditionError(
             f"support depth {step.k} exceeds the new path (0..{n - 1})"
@@ -211,7 +212,7 @@ def _grow(initial: int, next_step) -> BuildTrace:
         raise StepPreconditionError(
             f"the starting path length {initial} is 1 mod 4 and admits no code"
         )
-    t = Graph(initial, make_path(initial).edges, name=f"familyT({initial})")
+    t = Graph.from_masks(make_path(initial).neighbor_masks, name=f"familyT({initial})")
     steps: list[TreeBuildStep] = []
     codes = [tree_tpc(t)]
     assert codes[0] is not None
@@ -247,13 +248,11 @@ def generate_family_T(initial: int, steps) -> BuildTrace:
 def random_family_T(seed: int, size_budget: int) -> BuildTrace:
     """Seeded random build: starting length and operations are drawn from
     parameter classes for which the grow arguments are known to preserve a
-    code (A1/A3 lengths 0 or 3 mod 4, A4 split so both arms keep codes
+    code (A1/A3 lengths 0 or 1 mod 4, A4 split so both arms keep codes
     avoiding the junction).  Deterministic for a fixed seed.
 
-    The attachment vertex is drawn from the current stage's code.  Every
-    member of it is a legal attachment for all four operations: a member of
-    a set is never quasi-isolated with respect to it (see
-    `is_quasi_isolated`), so the A3/A4 condition excludes no candidate.
+    The attachment vertex is drawn from the current stage's code; every
+    member of it is a legal attachment for all four operations.
     """
     rng = random.Random(seed)
     initial = rng.choice([2, 3, 4, 6, 7, 8])
@@ -380,8 +379,8 @@ def tree_canon(t: Graph) -> tuple:
 
 def _induced_tree(t: Graph, keep: list[int]) -> Graph:
     pos = {v: i for i, v in enumerate(keep)}
-    edges = [(pos[a], pos[b]) for a, b in t.edges if a in pos and b in pos]
-    return Graph(len(keep), edges)
+    masks = [sum(1 << pos[w] for w in bits(t.neighbor_masks[v]) if w in pos) for v in keep]
+    return Graph.from_masks(masks)
 
 
 def all_trees_upto(max_n: int) -> dict[int, list[Graph]]:
@@ -392,7 +391,7 @@ def all_trees_upto(max_n: int) -> dict[int, list[Graph]]:
         seen = {}
         for t in by_n[n - 1]:
             for v in range(t.n):
-                g = Graph(n, list(t.edges) + [(v, n - 1)])
+                g = _attach_path(t, v, 1, 0)
                 key = tree_canon(g)
                 if key not in seen:
                     seen[key] = g
@@ -400,12 +399,9 @@ def all_trees_upto(max_n: int) -> dict[int, list[Graph]]:
     return by_n
 
 
-def _membership_code(t: Graph, v: int) -> bool:
-    return tree_tpc(t, force_include=v) is not None
-
-
 def _is_path_graph(t: Graph) -> bool:
-    return t.n >= 1 and t.is_tree() and all(t.degree(v) <= 2 for v in range(t.n))
+    """Whether the tree t is a path: no vertex has more than two neighbours."""
+    return all(m.bit_count() <= 2 for m in t.neighbor_masks)
 
 
 def reducible_to_legal_path(t: Graph, _memo: dict | None = None) -> bool:
@@ -418,21 +414,19 @@ def reducible_to_legal_path(t: Graph, _memo: dict | None = None) -> bool:
     key = tree_canon(t)
     if key in memo:
         return memo[key]
-    memo[key] = False  # cycles impossible, but keep the guard cheap
     if _is_path_graph(t):
-        result = t.n >= 2 and t.n % 4 != 1
-        memo[key] = result
-        return result
+        memo[key] = t.n >= 2 and t.n % 4 != 1
+        return memo[key]
     # reverse A2: delete one leaf
     for u in sorted(t.end_vertices()):
         (support,) = bits(t.neighbor_masks[u])
         keep = [v for v in range(t.n) if v != u]
         rest = _induced_tree(t, keep)
-        rv = keep.index(support)
-        if tree_tpc(rest) is not None and _membership_code(rest, rv):
-            if reducible_to_legal_path(rest, memo):
-                memo[key] = True
-                return True
+        if tree_tpc(rest, force_include=keep.index(support)) is None:
+            continue
+        if reducible_to_legal_path(rest, memo):
+            memo[key] = True
+            return True
     # reverse A1/A4: detach a hanging path across one edge
     for a, b in t.edges:
         for anchor, head in ((a, b), (b, a)):
@@ -441,22 +435,15 @@ def reducible_to_legal_path(t: Graph, _memo: dict | None = None) -> bool:
             if not _is_path_graph(piece):
                 continue
             n = piece.n
-            head_deg_in_piece = sum(1 for w in bits(t.neighbor_masks[head]) if w in comp)
-            is_endpoint = head_deg_in_piece <= 1
+            is_endpoint = sum(w in comp for w in bits(t.neighbor_masks[head])) <= 1
             ok_a1 = is_endpoint and n >= 5 and n % 4 != 2
             ok_a4 = (not is_endpoint) and n % 2 == 1 and n % 8 != 3
             if not (ok_a1 or ok_a4):
                 continue
             keep = [v for v in range(t.n) if v not in comp]
             rest = _induced_tree(t, keep)
-            if not rest.is_tree() or rest.n < 2:
+            if tree_tpc(rest, force_include=keep.index(anchor)) is None:
                 continue
-            rv = keep.index(anchor)
-            code = tree_tpc(rest, force_include=rv)
-            if code is None:
-                continue
-            if ok_a4 and not ok_a1 and is_quasi_isolated(rest, code, rv):
-                continue  # forward interior attachment needs a free anchor
             if reducible_to_legal_path(rest, memo):
                 memo[key] = True
                 return True

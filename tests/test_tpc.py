@@ -212,6 +212,9 @@ def test_tree_solver_examples():
         tree_tpc(make_cycle(4))
     with pytest.raises(NotATreeError):
         tree_tpc(Graph(3, [(0, 1)]))
+    # n - 1 edges but disconnected: a triangle plus an isolated vertex
+    with pytest.raises(NotATreeError):
+        tree_tpc(Graph(4, [(0, 1), (0, 2), (1, 2)]))
 
 
 def test_tree_solver_against_exact_on_random_trees():

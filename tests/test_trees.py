@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from test_solver import gnp_graphs
 from zdcodes import trees
 from zdcodes.graphs import Graph, bits, make_complete, make_cycle, make_path
-from zdcodes.tpc import is_total_perfect_code, tree_tpc
+from zdcodes.tpc import NotATreeError, enumerate_tpcs, is_total_perfect_code, tree_tpc
 from zdcodes.trees import (
     BuildTrace,
     FamilyTraceFinding,
@@ -27,6 +28,7 @@ from zdcodes.trees import (
     private_neighborhood,
     prufer_to_tree,
     random_family_T,
+    random_tree,
     reduction_probe,
     tree_canon,
 )
@@ -80,6 +82,67 @@ def test_members_of_a_set_are_never_quasi_isolated(data):
     s = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
     for v in s:
         assert not is_quasi_isolated(g, s, v)
+
+
+@st.composite
+def tree_sized_graphs(draw, max_n=12):
+    """Graphs with n - 1 edges: a Pruefer tree, sometimes with one edge
+    swapped for a non-edge, which may leave it disconnected."""
+    n = draw(st.integers(2, max_n))
+    t = prufer_to_tree(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)))
+    edges = list(t.edges)
+    non_edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    if non_edges and draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+        edges.append(draw(st.sampled_from(non_edges)))
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gnp_graphs(max_n=10), tree_sized_graphs()), st.integers(0, 11))
+def test_tree_solver_rejects_exactly_the_non_trees(g, v):
+    force = v if v < g.n else None
+    if g.is_tree():
+        tree_tpc(g, force_include=force)
+    else:
+        with pytest.raises(NotATreeError):
+            tree_tpc(g, force_include=force)
+
+
+def test_quasi_isolation_readings_sweep():
+    """Every tree up to 8 vertices, every code, every code vertex v: the
+    readings of the A3/A4 condition and the endpoint attachments that keep
+    a code.  The README reports the same sweep up to 11 vertices."""
+    counts = Counter()
+    for forest in list(all_trees_upto(8).values())[1:]:
+        for t in forest:
+            for code in enumerate_tpcs(t):
+                for v in sorted(code):
+                    (partner,) = (u for u in code if t.neighbor_masks[v] >> u & 1)
+                    assert not is_quasi_isolated(t, code, v)
+                    minus = is_quasi_isolated(t, code - {v}, v)
+                    assert minus == (private_neighborhood(t, code - {v}, partner) == {v})
+                    for n in (5, 7, 8, 9, 11, 12, 13):
+                        grown = enumerate_tpcs(apply_step(t, code, TreeBuildStep("A1", v, n)))
+                        cls = "3 mod 4" if n % 4 == 3 else "0, 1 mod 4"
+                        counts[cls] += 1
+                        counts[cls + " keeps"] += bool(grown)
+                        counts[cls + " extends"] += any(c & set(range(t.n)) == code for c in grown)
+                        counts[cls + " keeps, rejected by C - v"] += minus and bool(grown)
+                    for n, k in ((n, k) for n in (5, 7, 9, 13, 15) for k in range(n) if minus):
+                        grown = apply_step(t, code, TreeBuildStep("A4", v, n, k))
+                        counts["A4 keeps, rejected by C - v"] += tree_tpc(grown) is not None
+    assert counts == {
+        "0, 1 mod 4": 710,
+        "0, 1 mod 4 keeps": 710,
+        "0, 1 mod 4 extends": 710,
+        "0, 1 mod 4 keeps, rejected by C - v": 275,
+        "3 mod 4": 284,
+        "3 mod 4 keeps": 100,
+        "3 mod 4 extends": 0,
+        "3 mod 4 keeps, rejected by C - v": 0,
+        "A4 keeps, rejected by C - v": 1045,
+    }
 
 
 def test_leaf_and_support():
@@ -157,6 +220,37 @@ def test_apply_step_preserves_treeness():
     for step in (TreeBuildStep("A2", 1), TreeBuildStep("A1", 1, 8), TreeBuildStep("A4", 1, 7, 3)):
         grown = apply_step(t, {1, 2}, step)
         assert grown.is_tree()
+
+
+def _validated_attach(t, v, n, join_offset):
+    """`t` grown by a path on n new vertices, its vertex `join_offset`
+    joined to v, through the validating constructor."""
+    path = [(t.n + i, t.n + i + 1) for i in range(n - 1)]
+    return Graph(t.n + n, list(t.edges) + path + [(v, t.n + join_offset)], name=t.name)
+
+
+def test_apply_step_matches_the_validating_constructor():
+    rng = random.Random(1207)
+    for i in range(30):
+        t = random_tree(rng, rng.randint(2, 10)).relabeled(None, name=f"T{i}")
+        for code in enumerate_tpcs(t):
+            for v in sorted(code):
+                cases = [(TreeBuildStep("A2", v), 1, 0)]
+                cases += [
+                    (TreeBuildStep(op, v, n), n, 0) for op in ("A1", "A3") for n in (5, 7, 8, 13)
+                ]
+                cases += [
+                    (TreeBuildStep("A4", v, n, k), n, k) for n in (1, 5, 9) for k in range(n)
+                ]
+                for step, n, k in cases:
+                    grown = apply_step(t, code, step)
+                    want = _validated_attach(t, v, n, k)
+                    assert grown.neighbor_masks == want.neighbor_masks, (t.edges, step)
+                    assert grown.edges == want.edges and grown.name == want.name
+                for n in (5, 7, 8, 13):
+                    a1 = apply_step(t, code, TreeBuildStep("A1", v, n))
+                    a3 = apply_step(t, code, TreeBuildStep("A3", v, n))
+                    assert a3 == a1 and a3.name == a1.name
 
 
 def test_random_family_deterministic():
