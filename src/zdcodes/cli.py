@@ -25,7 +25,6 @@ from .graphs import (
     make_path,
     make_star,
 )
-from .rings import RingError
 from .tpc import (
     DeciderResult,
     Verdict,
@@ -76,21 +75,25 @@ def main(argv=None) -> int:
     config.set_override(settings)  # read once per call; cleared on return
     try:
         return args.func(args)
-    except (ringexpr.ParseError, ringexpr.ResolveError, RingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # parse, ring and precondition errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         config.set_override(None)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1, like every other input error."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing leaves it unchanged, so every
     `main` call reuses it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zdcodes",
         description="Zero-divisor graphs and total perfect codes, with exact cross-validation.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -363,9 +366,6 @@ def cmd_tree_gen(args) -> int:
         initial, steps = trees.BuildTrace.obj_steps(obj)
         try:
             trace = trees.generate_family_T(initial, steps)
-        except trees.StepPreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         except trees.FamilyTraceFinding as exc:
             print(f"finding: {exc}", file=sys.stderr)
             print(json.dumps(exc.trace_obj, indent=2, sort_keys=True), file=sys.stderr)

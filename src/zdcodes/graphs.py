@@ -143,7 +143,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree_sequence()) // 2
+        return sum(map(int.bit_count, self.neighbor_masks)) // 2
 
     def degree(self, v: int) -> int:
         return self.neighbor_masks[v].bit_count()

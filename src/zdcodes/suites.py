@@ -219,6 +219,9 @@ def suite_trees(
 ) -> SuiteReport:
     import random
 
+    for name, count in (("samples", samples), ("traces", traces), ("probe_max", probe_max)):
+        if count < 0:
+            raise ValueError(f"trees: {name} must be nonnegative, got {count}")
     rep = SuiteReport("trees")
     rng = random.Random(seed)
     for i in range(samples):

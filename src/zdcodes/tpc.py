@@ -114,15 +114,17 @@ def consensus(name: str, results, notes: tuple[str, ...] = (), graph=None) -> Ve
 
 def is_total_perfect_code(g: Graph, code) -> bool:
     """Every vertex, code members included, has exactly one neighbour in
-    `code`."""
-    cs = frozenset(int(v) for v in code)
-    for v in cs:
+    `code`.  Read through the members only: their neighbourhoods cover
+    every vertex and their sizes sum to n, which by double counting is
+    one code neighbour per vertex."""
+    covered = total = 0
+    for v in frozenset(int(v) for v in code):
         if not (0 <= v < g.n):
             raise GraphError(f"code vertex {v} out of range")
-    cmask = 0
-    for v in cs:
-        cmask |= 1 << v
-    return all((m & cmask).bit_count() == 1 for m in g.neighbor_masks)
+        m = g.neighbor_masks[v]
+        covered |= m
+        total += m.bit_count()
+    return total == g.n and covered == (1 << g.n) - 1
 
 
 def find_tpc(g: Graph) -> frozenset[int] | None:
@@ -153,13 +155,19 @@ class NotATreeError(ValueError):
 
 
 def tree_tpc(t: Graph, force_include: int | None = None) -> frozenset[int] | None:
-    """Linear dynamic program over a rooted orientation of the tree.
+    """Linear dynamic program over the tree rooted at `force_include`, or at
+    vertex 0 without it; with it, the code must contain that vertex (the
+    existential "v lies in some code" preconditions ask for this).
 
-    Per vertex and choice (in-code c, code-children s in {0,1}) feasibility
-    is combined bottom-up; a child hanging under a parent with membership c
-    must have collected exactly 1-c code children, so its own total count
-    lands on one.  With `force_include` the returned code must contain that
-    vertex (used for the existential "v lies in some code" preconditions).
+    A breadth-first walk keeps `kids[v]`, the bitmask of v's children.
+    Bottom-up, four vertex bitmasks F[c][s] mark each v whose subtree has a
+    code with v's membership c and s of v's children in it.  A child of a
+    vertex with membership c needs need = 1 - c code children, so its own
+    count lands on one; it is blocked when outside F[0][need].  (v, c, 0)
+    is feasible when no child is blocked, (v, c, 1) when besides some child
+    lies in F[1][need], or when the lone blocked child does.  Top-down, the
+    code child of an s = 1 vertex is that lone blocked child, else the
+    lowest child in F[1][need]; this pick rule fixes the witness.
 
     Agrees with find_tpc on existence by construction; the suites assert it.
     """
@@ -169,60 +177,53 @@ def tree_tpc(t: Graph, force_include: int | None = None) -> frozenset[int] | Non
     if n == 1:
         return None
     root = force_include if force_include is not None else 0
-    parent = [-1] * n
+    masks = t.neighbor_masks
+    kids = [0] * n
     order = [root]
+    seen = 1 << root
     for v in order:
-        for w in bits(t.neighbor_masks[v]):
-            if w != parent[v] and parent[w] == -1 and w != root:
-                parent[w] = v
-                order.append(w)
+        k = kids[v] = masks[v] & ~seen
+        seen |= k
+        while k:
+            low = k & -k
+            order.append(low.bit_length() - 1)
+            k ^= low
     if len(order) != n:
         raise NotATreeError("input is not a tree: it is disconnected")
-    children = [[] for _ in range(n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
 
-    # feasible[v][c][s];  pick[v][c][s] = child designated as the code child
-    feasible = [[[False, False], [False, False]] for _ in range(n)]
-    pick = [[[None, None], [None, None]] for _ in range(n)]
+    # F[c][s] as four bitmasks: f01 is F[0][1], f10 is F[1][0] and so on
+    f00 = f01 = f10 = f11 = 0
     for v in reversed(order):
-        for c in (0, 1):
-            if force_include is not None and v == force_include and c == 0:
-                continue
-            need = 1 - c  # each child must hold exactly this many code children
-            ok_out = all(feasible[u][0][need] for u in children[v])
-            feasible[v][c][0] = ok_out
-            if ok_out:
-                for u in children[v]:
-                    if feasible[u][1][need]:
-                        feasible[v][c][1] = True
-                        pick[v][c][1] = u
-                        break
-            else:
-                # one child may be unable to stay out; it must be the code child
-                blocked = [u for u in children[v] if not feasible[u][0][need]]
-                if len(blocked) == 1 and feasible[blocked[0]][1][need]:
-                    feasible[v][c][1] = True
-                    pick[v][c][1] = blocked[0]
+        bit = 1 << v
+        k = kids[v]
+        if v != force_include:  # c = 0: each child needs one code child
+            blocked = k & ~f01
+            if not blocked:
+                f00 |= bit
+            if not blocked & (blocked - 1) and (blocked or k) & f11:
+                f01 |= bit
+        blocked = k & ~f00  # c = 1: each child needs none
+        if not blocked:
+            f10 |= bit
+        if not blocked & (blocked - 1) and (blocked or k) & f10:
+            f11 |= bit
 
-    root_c = next((c for c in (0, 1) if feasible[root][c][1]), None)
-    if root_c is None:
+    if not (f01 | f11) >> root & 1:
         return None
-
-    code: set[int] = set()
-    stack = [(root, root_c, 1)]
-    while stack:
-        v, c, s = stack.pop()
-        if c:
-            code.add(v)
-        chosen = pick[v][c][s]
-        need = 1 - c
-        for u in children[v]:
-            if u == chosen:
-                stack.append((u, 1, need))
-            else:
-                stack.append((u, 0, need))
-    return frozenset(code)
+    inside = 0 if f01 >> root & 1 else 1 << root  # the root stays out when it may
+    # top-down: `inside` marks code members, `one` the vertices with s = 1
+    one = 1 << root
+    for v in order:
+        k = kids[v]
+        if inside >> v & 1:
+            out, member = f00, f10
+        else:
+            out, member = f01, f11
+            one |= k
+        if one >> v & 1:
+            pick = (k & ~out or k) & member
+            inside |= pick & -pick
+    return frozenset(bits(inside))
 
 
 # -- closed-form deciders ----------------------------------------------------
@@ -241,13 +242,7 @@ def path_code(n: int) -> frozenset[int]:
     """
     if not path_decider(n):
         raise ValueError(f"P_{n} admits no total perfect code (n = 1 mod 4)")
-    if n == 2:
-        return frozenset({0, 1})
-    r = n % 4
-    if r == 0:
-        start = 1  # …, {n-3, n-2} 0-indexed
-    else:  # r in (2, 3)
-        start = 0
+    start = 1 if n % 4 == 0 else 0
     return frozenset(v for p in range(start, n - 1, 4) for v in (p, p + 1))
 
 

@@ -254,6 +254,8 @@ def random_family_T(seed: int, size_budget: int) -> BuildTrace:
     The attachment vertex is drawn from the current stage's code; every
     member of it is a legal attachment for all four operations.
     """
+    if size_budget < 0:
+        raise ValueError(f"the size budget must be nonnegative, got {size_budget}")
     rng = random.Random(seed)
     initial = rng.choice([2, 3, 4, 6, 7, 8])
     # parameter classes verified to preserve codes: endpoint attachments
@@ -385,8 +387,8 @@ def _induced_tree(t: Graph, keep: list[int]) -> Graph:
 
 def all_trees_upto(max_n: int) -> dict[int, list[Graph]]:
     """All trees up to isomorphism, by order, from iterated leaf extension
-    with canonical-form deduplication."""
-    by_n: dict[int, list[Graph]] = {1: [Graph(1, [])]}
+    with canonical-form deduplication; none when max_n is below one."""
+    by_n: dict[int, list[Graph]] = {1: [Graph(1, [])]} if max_n >= 1 else {}
     for n in range(2, max_n + 1):
         seen = {}
         for t in by_n[n - 1]:

@@ -185,6 +185,38 @@ def test_verify_trees_small(capsys):
     assert code == 0 and "probe" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "trees", "--samples", "-1"),
+        ("verify", "trees", "--traces", "-2"),
+        ("verify", "trees", "--probe-max", "-1"),
+        ("tree-gen", "--random", "5", "-3"),
+    ],
+    ids=["samples", "traces", "probe-max", "random-budget"],
+)
+def test_negative_tree_counts_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nonnegative" in err and err.count("\n") == 1
+
+
+def test_probe_max_zero_checks_no_trees(capsys):
+    code, out, _ = run(
+        capsys, "verify", "trees", "--samples", "0", "--traces", "0", "--probe-max", "0"
+    )
+    assert code == 0 and "probe over all 0 trees up to 0 vertices: 0 admit a code" in out
+
+
+def test_usage_error_exits_1(capsys):
+    for _ in range(2):  # the one parser keeps its exit code on reuse
+        with pytest.raises(SystemExit) as exc:
+            main(["tree-gen", "--random", "5"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: zdcodes tree-gen") and "expected 2 arguments" in err
+
+
 def test_verify_jobs_fanout(capsys):
     code, out, _ = run(capsys, "verify", "zn-sweep", "--max-n", "40", "--jobs", "2", "--json")
     assert code == 0

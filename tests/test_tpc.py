@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdcodes.graphs import (
     Graph,
@@ -31,7 +33,7 @@ from zdcodes.tpc import (
     regular_parity_check,
     tree_tpc,
 )
-from zdcodes.trees import random_tree
+from zdcodes.trees import prufer_to_tree, random_tree
 
 
 def brute_tpcs(g: Graph) -> list[frozenset[int]]:
@@ -239,6 +241,133 @@ def test_tree_forced_membership():
         assert (forced is not None) == bool(brute)
         if forced is not None:
             assert v in forced and is_total_perfect_code(p7, forced)
+
+
+def _nested_list_tree_tpc(t: Graph, force_include: int | None = None):
+    """The tree dynamic program as it stood on nested parent, children,
+    feasibility and pick lists, kept as the reference that the bitmask
+    version must match witness for witness."""
+    n = t.n
+    if t.edge_count != n - 1:
+        raise NotATreeError(f"input is not a tree: {t.edge_count} edges on {n} vertices")
+    if n == 1:
+        return None
+    root = force_include if force_include is not None else 0
+    parent = [-1] * n
+    order = [root]
+    for v in order:
+        for w in bits(t.neighbor_masks[v]):
+            if w != parent[v] and parent[w] == -1 and w != root:
+                parent[w] = v
+                order.append(w)
+    if len(order) != n:
+        raise NotATreeError("input is not a tree: it is disconnected")
+    children = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+
+    feasible = [[[False, False], [False, False]] for _ in range(n)]
+    pick = [[[None, None], [None, None]] for _ in range(n)]
+    for v in reversed(order):
+        for c in (0, 1):
+            if force_include is not None and v == force_include and c == 0:
+                continue
+            need = 1 - c
+            ok_out = all(feasible[u][0][need] for u in children[v])
+            feasible[v][c][0] = ok_out
+            if ok_out:
+                for u in children[v]:
+                    if feasible[u][1][need]:
+                        feasible[v][c][1] = True
+                        pick[v][c][1] = u
+                        break
+            else:
+                blocked = [u for u in children[v] if not feasible[u][0][need]]
+                if len(blocked) == 1 and feasible[blocked[0]][1][need]:
+                    feasible[v][c][1] = True
+                    pick[v][c][1] = blocked[0]
+
+    root_c = next((c for c in (0, 1) if feasible[root][c][1]), None)
+    if root_c is None:
+        return None
+
+    code: set[int] = set()
+    stack = [(root, root_c, 1)]
+    while stack:
+        v, c, s = stack.pop()
+        if c:
+            code.add(v)
+        chosen = pick[v][c][s]
+        need = 1 - c
+        for u in children[v]:
+            if u == chosen:
+                stack.append((u, 1, need))
+            else:
+                stack.append((u, 0, need))
+    return frozenset(code)
+
+
+@st.composite
+def prufer_trees(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    return prufer_to_tree(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prufer_trees())
+def test_tree_solver_matches_the_nested_list_version(t):
+    for force in (None, *range(t.n)):
+        assert tree_tpc(t, force) == _nested_list_tree_tpc(t, force)
+
+
+def _not_a_tree_message(solver, g, force):
+    with pytest.raises(NotATreeError) as exc:
+        solver(g, force)
+    return str(exc.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tree_solver_rejects_near_trees_like_the_nested_list_version(data):
+    t = data.draw(prufer_trees(max_n=20))
+    edges = list(t.edges)
+    non_edges = [(a, b) for a in range(t.n) for b in range(a + 1, t.n) if (a, b) not in edges]
+    if not non_edges:
+        return
+    if data.draw(st.booleans()):
+        # cut one edge and close a cycle inside one side: n - 1 edges, disconnected
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+        side = Graph(t.n, edges).connected_components()[0]
+        inside = [(a, b) for a, b in non_edges if a in side and b in side]
+        if not inside:
+            return
+        edges.append(data.draw(st.sampled_from(inside)))
+    else:
+        edges.append(data.draw(st.sampled_from(non_edges)))
+    g = Graph(t.n, edges)
+    for force in (None, data.draw(st.integers(0, t.n - 1))):
+        assert _not_a_tree_message(tree_tpc, g, force) == _not_a_tree_message(
+            _nested_list_tree_tpc, g, force
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verifier_matches_the_per_vertex_definition(data):
+    if data.draw(st.booleans()):
+        g = data.draw(prufer_trees(max_n=12))
+    else:
+        n = data.draw(st.integers(0, 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    vertices = st.integers(0, g.n - 1) if g.n else st.nothing()
+    code = data.draw(st.sets(vertices))
+    found = find_tpc(g)
+    if found is not None and g.n and data.draw(st.booleans()):
+        # a code, or a near miss one vertex away from it
+        code = set(found) ^ data.draw(st.sets(vertices, max_size=1))
+    per_vertex = all(sum(m >> c & 1 for c in code) == 1 for m in g.neighbor_masks)
+    assert is_total_perfect_code(g, code) == per_vertex
 
 
 # -- end-vertex probe ------------------------------------------------------------

@@ -393,6 +393,7 @@ def test_prufer_decode():
 def test_all_trees_counts_and_prufer_coverage():
     byn = all_trees_upto(7)
     assert [len(byn[n]) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    assert all_trees_upto(0) == {} and reduction_probe(0) == (0, 0, [])
     # every labelled tree's canonical form appears in the generated list
     import itertools
 
