@@ -277,6 +277,36 @@ def test_mixed_decider_delegation_and_errors():
         mixed_decider([], [])
 
 
+@pytest.mark.parametrize(
+    "locals_, fields_, route_ids, witness_names",
+    [
+        ([8], [], ["ann-pair-structural", "degree-one", "exact-pair", "exact-search"], ("2", "4")),
+        ([], [5], ["field-vacuous"], ()),
+        ([], [2, 3], ["field-count", "exact-pair"], ("(0,1)", "(1,0)")),
+        ([], [2, 2, 2], ["field-count", "exact-pair"], None),
+        ([4], [2], ["artinian-case", "exact-pair"], ("(0,1)", "(2,0)")),
+        ([4], [2, 3], ["artinian-case", "exact-pair"], None),
+        ([4, 9], [], ["artinian-case", "exact-pair"], None),
+        ([4, 4], [2], ["artinian-case", "exact-pair"], None),
+        ([4, 4, 4], [], ["artinian-case", "exact-pair"], None),
+    ],
+    ids=["1-0", "0-1", "0-2", "0-3", "1-1", "1-2", "2-0", "2-1", "3-0"],
+)
+def test_decider_route_shape_by_factor_counts(locals_, fields_, route_ids, witness_names):
+    # (m, n) local non-field and field factors: every decider that accepts
+    # the shape runs the same routes, in the same order, to the same witness
+    locals_ = [make_zn(q) for q in locals_]
+    fields_ = [make_zn(p) for p in fields_]
+    verdicts = [mixed_decider(locals_, fields_)]
+    if not locals_ and len(fields_) >= 2:
+        verdicts.append(reduced_decider(fields_))
+    if len(locals_) == 1 and not fields_:
+        verdicts.append(local_decider(locals_[0]))
+    for v in verdicts:
+        assert [d.decider_id for d in v.deciders] == route_ids
+        assert v.witness_names == witness_names and not v.discrepancy
+
+
 def test_verdict_serialization():
     v = mixed_decider([make_zn(4)], [make_zn(2)])
     obj = v.to_obj()
