@@ -326,17 +326,19 @@ def cmd_tpc_decide(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    bounds = {"--max-n": args.max_n, "--max-order": args.max_order, "--jobs": args.jobs}
+    for flag, value in bounds.items():
+        if value is not None and value < 0:
+            raise ValueError(f"verify: {flag} must be nonnegative, got {value}")
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     worst = 0
     reports = []
     for name in names:
         fn = suites.SUITES[name]
         kwargs = {}
-        if name in ("paths", "cycles") and args.max_n:
+        if name in ("paths", "cycles", "zn-sweep") and args.max_n is not None:
             kwargs["max_n"] = args.max_n
         if name == "zn-sweep":
-            if args.max_n:
-                kwargs["max_n"] = args.max_n
             kwargs["jobs"] = args.jobs
         if name == "mixed-products":
             kwargs["max_order"] = args.max_order

@@ -334,11 +334,7 @@ def suite_local_catalog() -> SuiteReport:
         instance = ring.name
         z = zdg.zero_divisor_graph(ring)
         z.codes  # enumerated first: the decider's exact route reads its least code
-        verdict = zdg.local_decider(ring, graph=z)
-        if verdict.discrepancy:
-            rep.finding(instance, f"local decider routes disagree: {verdict.notes}")
-            continue
-        problems = _pair_completeness_problems(z, verdict.admits)
+        problems = _verdict_problems(zdg.local_decider(ring, graph=z))
         if problems:
             rep.finding(instance, "; ".join(problems))
             continue
@@ -369,13 +365,9 @@ def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
                 continue
             instance = " x ".join(f.name for f in factors)
             verdict = zdg.reduced_decider(factors)
-            if verdict.discrepancy:
-                rep.finding(instance, f"reduced decider disagrees with the oracle: {verdict.notes}")
-                continue
+            problems = _verdict_problems(verdict)
             if verdict.admits != (k == 2):
-                rep.finding(instance, f"k={k} but admits={verdict.admits}")
-                continue
-            problems = _pair_completeness_problems(verdict.graph, verdict.admits)
+                problems.append(f"k={k} but admits={verdict.admits}")
             if problems:
                 rep.finding(instance, "; ".join(problems))
                 continue
@@ -463,17 +455,22 @@ def _mixed_instance(args) -> dict:
     locals_ = [lpool[i] for i in args[0]]
     fields_ = [fpool[i] for i in args[1]]
     name = " x ".join(f.name for f in locals_ + fields_)
-    out = {"instance": name, "problems": [], "loose_variant_mismatch": False}
     verdict = zdg.mixed_decider(locals_, fields_)
-    if verdict.discrepancy:
-        out["problems"].append(f"mixed decider disagrees with the oracle: {verdict.notes}")
-        return out
-    out["problems"].extend(_pair_completeness_problems(verdict.graph, verdict.admits))
+    problems = _verdict_problems(verdict)
+    out = {"instance": name, "problems": problems, "loose_variant_mismatch": False}
     if len(locals_) == 1 and len(fields_) == 1:
         literal = len(locals_[0].zero_divisors_nonzero) <= 2
         if literal != verdict.admits:
             out["loose_variant_mismatch"] = True
     return out
+
+
+def _verdict_problems(verdict) -> list[str]:
+    """A ring decider's verdict checked: its routes agree, and its decision
+    matches the full enumeration of the graph they ran on."""
+    if verdict.discrepancy:
+        return [f"decider routes disagree: {verdict.notes}"]
+    return _pair_completeness_problems(verdict.graph, verdict.admits)
 
 
 def _pair_completeness_problems(z: zdg.ZdGraph, admits: bool) -> list[str]:

@@ -256,8 +256,11 @@ def random_family_T(seed: int, size_budget: int) -> BuildTrace:
     """
     if size_budget < 0:
         raise ValueError(f"the size budget must be nonnegative, got {size_budget}")
+    starts = [n for n in (2, 3, 4, 6, 7, 8) if n <= size_budget]
+    if not starts:
+        raise ValueError(f"the size budget {size_budget} is below the shortest starting path, 2")
     rng = random.Random(seed)
-    initial = rng.choice([2, 3, 4, 6, 7, 8])
+    initial = rng.choice(starts)
     # parameter classes verified to preserve codes: endpoint attachments
     # with n = 0,1 mod 4 (the bridge covers the path head), interior
     # attachments whose two arms are both 0 or 3 mod 4

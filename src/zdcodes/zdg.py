@@ -119,48 +119,11 @@ def _route(ring: FiniteRing, decider_id: str, admits: bool, witness=None) -> Dec
     return DeciderResult(decider_id, admits, witness).named(ring.element_name)
 
 
+#: a field's graph is empty and the empty code holds vacuously
+_VACUOUS = DeciderResult("field-vacuous", True, frozenset(), ())
+
+
 # -- local rings ---------------------------------------------------------------
-
-
-def local_decider(ring: FiniteRing, graph: ZdGraph | None = None) -> Verdict:
-    """Four independent routes for a local non-field ring: the annihilator
-    criterion (some |ann(x)| = 2 with |Z(R)| >= 3, or a two-vertex graph
-    whose vertices annihilate each other), the degree-one criterion, the
-    exact pair sweep and the exact search.  All must agree or the verdict
-    is flagged.
-    `graph` is Gamma of a ring isomorphic to `ring` when the caller has
-    built one; the graph routes then run on it.
-    """
-    if not ring.is_local or ring.is_field:
-        raise RingError(f"{ring.name} is not a local non-field ring")
-    z = graph if graph is not None else zero_divisor_graph(ring)
-    zdivs = sorted(ring.zero_divisors_nonzero)
-
-    structural_witness = None
-    clause_a = False
-    if len(zdivs) + 1 >= 3:
-        for x in zdivs:
-            ann = ring.annihilator(x)
-            if len(ann) == 2:
-                (y,) = ann - {0}
-                clause_a = True
-                structural_witness = frozenset({x, y})
-                break
-    clause_b = False
-    if len(zdivs) == 2 and ring.mul(zdivs[0], zdivs[1]) == 0:
-        clause_b = True
-        structural_witness = frozenset(zdivs)
-    if structural_witness is not None:
-        assert is_code_pair(ring, *structural_witness)
-    pair = tpc_pair_solver(z)
-    exact = ring_code_exact(z)
-    results = [
-        _route(ring, "ann-pair-structural", clause_a or clause_b, structural_witness),
-        DeciderResult("degree-one", bool(degree_one_vertices(z))),
-        _route(z.ring, "exact-pair", pair is not None, pair),
-        _route(z.ring, "exact-search", exact is not None, exact),
-    ]
-    return consensus(ring.name, results, graph=z)
 
 
 def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
@@ -176,16 +139,15 @@ def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
     other vertex x; so the last condition says |ann(m)| = 2.  Order 16 and
     no |ann(x)| = 2 alone also pass the rings with residue field F4 (Gamma
     is K3) and F2[x,y]/(x^3, xy, y^2) (ann(m) = {0, x^2, y, x^2 + y}),
-    whose graphs have no cut vertex.
+    whose graphs have no cut vertex.  ann(m) is read off the vertices'
+    annihilators, ann(0) being all of R; no graph is built.
     """
     zdivs = ring.zero_divisors_nonzero
     if ring.order != 16 or not ring.is_local or len(zdivs) != 7:
         return False
     if any(len(ring.annihilator(x)) == 2 for x in zdivs):
         return False
-    masks = zero_divisor_graph(ring).graph.neighbor_masks
-    full = (1 << len(masks)) - 1
-    return sum(m | 1 << v == full for v, m in enumerate(masks)) == 1
+    return len(frozenset.intersection(*(ring.annihilator(x) for x in zdivs))) == 2
 
 
 @dataclass(frozen=True)
@@ -267,15 +229,71 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
     return CutVertexReport(ring.name, art, code, tuple(checks), tuple(findings))
 
 
-# -- reduced and mixed products -------------------------------------------------
+# -- the ring deciders ------------------------------------------------------------
 
 
-def _classify(factor: FiniteRing) -> str:
-    if factor.is_field:
-        return "field"
-    if factor.is_local:
-        return "local"
-    return "other"
+def _artinian_verdict(locals_: list, fields_: list, graph: ZdGraph | None = None) -> Verdict:
+    """The characterisation on m local non-field factors and n field
+    factors (not a lone field), beside the exact pair sweep on Gamma of
+    their product, or on `graph`, Gamma of an isomorphic ring, when the
+    caller has one.  One local ring: ann-pair-structural, with the
+    degree-one and exact-search routes.  Fields only: field-count, a code
+    exactly for two fields, witnessed by (1,0),(0,1).  Anything else:
+    artinian-case, a code exactly for m = n = 1 with one nonzero
+    zero-divisor z in the local factor, witnessed by (z,0),(0,1); the
+    looser two-zero-divisor variant is refuted by the exact oracle (see
+    the known findings manifest, entry local-field-zstar-two).
+    """
+    m, n = len(locals_), len(fields_)
+    local = (m, n) == (1, 0)
+    witness = head = None
+    if local:
+        ring, route_id = locals_[0], "ann-pair-structural"
+        zdivs = sorted(ring.zero_divisors_nonzero)
+        if len(zdivs) == 2 and ring.mul(*zdivs) == 0:
+            witness = frozenset(zdivs)
+        elif len(zdivs) >= 2:
+            x = next((x for x in zdivs if len(ring.annihilator(x)) == 2), None)
+            if x is not None:
+                (y,) = ring.annihilator(x) - {0}
+                witness = frozenset({x, y})
+    else:
+        ring = make_product(locals_ + fields_)
+        route_id = "artinian-case" if m else "field-count"
+        if (m, n) == (0, 2):
+            head = fields_[0].one
+        elif (m, n) == (1, 1) and len(locals_[0].zero_divisors_nonzero) == 1:
+            (head,) = locals_[0].zero_divisors_nonzero
+    if head is not None:
+        witness = frozenset(
+            {product_encode(ring, (head, 0)), product_encode(ring, (0, fields_[-1].one))}
+        )
+    if witness is not None:
+        assert is_code_pair(ring, *witness)
+    z = graph if graph is not None else zero_divisor_graph(ring)
+    pair = tpc_pair_solver(z)
+    results = [_route(ring, route_id, witness is not None, witness)]
+    if local:
+        results.append(DeciderResult("degree-one", bool(degree_one_vertices(z))))
+    results.append(_route(z.ring, "exact-pair", pair is not None, pair))
+    if local:
+        exact = ring_code_exact(z)
+        results.append(_route(z.ring, "exact-search", exact is not None, exact))
+    return consensus(ring.name, results, graph=z)
+
+
+def local_decider(ring: FiniteRing, graph: ZdGraph | None = None) -> Verdict:
+    """Four independent routes for a local non-field ring: the annihilator
+    criterion (some |ann(x)| = 2 with |Z(R)| >= 3, or a two-vertex graph
+    whose vertices annihilate each other), the degree-one criterion, the
+    exact pair sweep and the exact search.  All must agree or the verdict
+    is flagged.
+    `graph` is Gamma of a ring isomorphic to `ring` when the caller has
+    built one; the graph routes then run on it.
+    """
+    if not ring.is_local or ring.is_field:
+        raise RingError(f"{ring.name} is not a local non-field ring")
+    return _artinian_verdict([ring], [], graph)
 
 
 def reduced_decider(factors, graph: ZdGraph | None = None) -> Verdict:
@@ -291,86 +309,31 @@ def reduced_decider(factors, graph: ZdGraph | None = None) -> Verdict:
             )
     if len(factors) < 2:
         raise RingError("a reduced product needs at least two field factors")
-    ring = make_product(factors)
-    k = len(factors)
-    witness = None
-    if k == 2:
-        e1 = product_encode(ring, (factors[0].one, 0))
-        e2 = product_encode(ring, (0, factors[1].one))
-        witness = frozenset({e1, e2})
-        assert is_code_pair(ring, e1, e2)
-    z = graph if graph is not None else zero_divisor_graph(ring)
-    pair = tpc_pair_solver(z)
-    results = [
-        _route(ring, "field-count", k == 2, witness),
-        _route(z.ring, "exact-pair", pair is not None, pair),
-    ]
-    return consensus(ring.name, results, graph=z)
+    return _artinian_verdict([], factors, graph)
 
 
 def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) -> Verdict:
-    """Case analysis on m local non-field factors and n field factors.
-
-    m=0 delegates to the reduced decider; m=1, n=0 to the local decider.
-    For m=1, n=1 the code exists exactly when the local factor has a single
-    nonzero zero-divisor z, witnessed by (z,0),(0,1); the looser
-    two-zero-divisor variant is refuted by the exact oracle (see the known
-    findings manifest, entry local-field-zstar-two).  Every other shape
-    admits nothing.  The pair sweep cross-checks on the product's graph, or
-    on `graph`, Gamma of an isomorphic ring, when the caller has one.  (The
-    product itself is built under the ring cap, so the check always runs.)
+    """The case analysis on m local non-field factors and n field factors:
+    m = 1, n = 0 runs the local decider's routes, m = 0 the reduced
+    decider's, and a lone field gets the vacuous empty code.  `graph` is
+    Gamma of a ring isomorphic to the product when the caller has one.
     """
     locals_ = list(local_factors)
     fields_ = list(field_factors)
     for f in locals_:
-        kind = _classify(f)
-        if kind != "local":
+        if f.is_field or not f.is_local:
             raise RingError(
-                f"factor {f.name} is {'a field' if kind == 'field' else 'not local'}; "
+                f"factor {f.name} is {'a field' if f.is_field else 'not local'}; "
                 "it cannot be passed as a local non-field factor"
             )
     for f in fields_:
         if not f.is_field:
             raise RingError(f"factor {f.name} is not a field")
-    m, n = len(locals_), len(fields_)
-    if m + n < 1:
+    if not locals_ and not fields_:
         raise RingError("at least one factor is required")
-    if m == 1 and n == 0:
-        return local_decider(locals_[0], graph=graph)
-    if m == 0 and n == 1:
-        # a field's graph is empty and the empty code holds vacuously
-        return consensus(fields_[0].name, [DeciderResult("field-vacuous", True, frozenset(), ())])
-    if m == 0:
-        return reduced_decider(fields_, graph=graph)
-
-    factors = locals_ + fields_
-    ring = make_product(factors)
-    witness = None
-    if m == 1 and n == 1:
-        admits = len(locals_[0].zero_divisors_nonzero) == 1
-        if admits:
-            (zd,) = locals_[0].zero_divisors_nonzero
-            witness = frozenset(
-                {
-                    product_encode(ring, (zd, 0)),
-                    product_encode(ring, (0, fields_[0].one)),
-                }
-            )
-    elif m == 1:
-        admits = False  # one local factor and two or more fields
-    elif m == 2:
-        admits = False  # two local factors, any number of fields
-    else:
-        admits = False  # three or more local factors
-    if witness is not None:
-        assert is_code_pair(ring, *witness)
-    z = graph if graph is not None else zero_divisor_graph(ring)
-    pair = tpc_pair_solver(z)
-    results = [
-        _route(ring, "artinian-case", admits, witness),
-        _route(z.ring, "exact-pair", pair is not None, pair),
-    ]
-    return consensus(ring.name, results, graph=z)
+    if not locals_ and len(fields_) == 1:
+        return consensus(fields_[0].name, [_VACUOUS])
+    return _artinian_verdict(locals_, fields_, graph)
 
 
 # -- decomposition for arbitrary rings ------------------------------------------
@@ -416,14 +379,13 @@ def decide_ring(ring: FiniteRing) -> Verdict:
     """
     z = zero_divisor_graph(ring)
     if z.graph.n == 0:
-        vacuous = DeciderResult("field-vacuous", True, frozenset(), ())
-        return consensus(ring.name, [vacuous], graph=z)
+        return consensus(ring.name, [_VACUOUS], graph=z)
     pair = tpc_pair_solver(z)
     results = [_route(ring, "exact-pair", pair is not None, pair)]
     notes: tuple[str, ...] = ()
     split = artinian_split(ring)
     if split is not None:
-        v = mixed_decider(*split, graph=z)
+        v = _artinian_verdict(*split, graph=z)
         route_id = "structural:" + "+".join(d.decider_id for d in v.deciders)
         results.append(DeciderResult(route_id, v.admits, v.witness, v.witness_names))
         notes = v.notes
@@ -556,8 +518,8 @@ def count_zero_divisors(factors) -> tuple[int, CountReport]:
         # very identity the closed form rests on
         enumerated = len(make_product(factors).scan_zero_divisors())
 
-    locals_ = [f for f in factors if _classify(f) == "local"]
-    fields_ = [f for f in factors if _classify(f) == "field"]
+    locals_ = [f for f in factors if f.is_local and not f.is_field]
+    fields_ = [f for f in factors if f.is_field]
     form = None
     if len(locals_) + len(fields_) == len(factors):
         form = {

@@ -192,13 +192,28 @@ def test_verify_trees_small(capsys):
         ("verify", "trees", "--traces", "-2"),
         ("verify", "trees", "--probe-max", "-1"),
         ("tree-gen", "--random", "5", "-3"),
+        ("verify", "paths", "--max-n", "-5"),
+        ("verify", "mixed-products", "--max-order", "-1"),
+        ("verify", "zn-sweep", "--jobs", "-1"),
     ],
-    ids=["samples", "traces", "probe-max", "random-budget"],
+    ids=["samples", "traces", "probe-max", "random-budget", "max-n", "max-order", "jobs"],
 )
 def test_negative_tree_counts_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "nonnegative" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["paths", "zn-sweep"])
+def test_max_n_zero_runs_no_instances(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--max-n", "0", "--json")
+    assert code == 0 and json.loads(out)[0]["instances"] == 0
+
+
+def test_random_tree_budget_below_two_exits_1(capsys):
+    code, out, err = run(capsys, "tree-gen", "--random", "5", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "shortest starting path" in err and err.count("\n") == 1
 
 
 def test_probe_max_zero_checks_no_trees(capsys):

@@ -261,6 +261,16 @@ def test_random_family_deterministic():
     assert tree_tpc(a.graph) is not None
 
 
+def test_random_family_keeps_its_size_budget():
+    # the starting path is drawn only from lengths within the budget
+    for budget in range(2, 11):
+        for seed in range(20):
+            assert random_family_T(seed, budget).graph.n <= budget
+    for budget in (0, 1):
+        with pytest.raises(ValueError, match="below the shortest starting path"):
+            random_family_T(5, budget)
+
+
 def _reference_generate_family_T(initial, steps):
     """Replay as it was before growth became one pass: a forced code per
     step, then one solve per stage."""

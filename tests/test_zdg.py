@@ -127,11 +127,15 @@ def test_graph_answers_are_computed_once(monkeypatch):
     assert len(z.codes) == 4 and z.least_code == z.codes[0]
     assert z.to_elements(z.least_code) == {2, 8}
     assert calls == ["cover_codes"]
-    # the local catalog enumerates each graph once and searches it no more
+    # the local catalog builds and enumerates each graph once and searches
+    # it no more
     calls.clear()
+    real = zdg.zero_divisor_graph
+    monkeypatch.setattr(zdg, "zero_divisor_graph", lambda r: calls.append("graph") or real(r))
     rep = suites.suite_local_catalog()
     assert rep.exit_code() == 0
     assert calls.count("cover_codes") == rep.instances == len(suites.local_catalog())
+    assert calls.count("graph") == rep.instances
 
 
 def test_counting_enumerates_by_brute_force(monkeypatch):
