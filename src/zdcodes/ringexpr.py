@@ -15,14 +15,15 @@ flat factor list in order):
 
 "F4" is a field and becomes GF(2,2); "Z4" never is - the two families are
 kept apart.  Catalog names are matched case-insensitively against the slugs
-in `tables.CATALOG_FILES`.
+in `tables.CATALOG_FILES`.  A field or quotient atom above the ring cap is
+a ParseError, raised before factoring q or storing a coefficient per power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import tables
+from . import config, tables
 from .rings import (
     FiniteRing,
     RingError,
@@ -148,7 +149,7 @@ class _Parser:
             save = self.i
             self.skip_ws()
             if self.peek() == "[":
-                coeffs = self.quotient_tail()
+                coeffs = self.quotient_tail(n, start)
                 return QuotientExpr(n, coeffs, (start, self.i))
             self.i = save
             return ZnExpr(n, (start, self.i))
@@ -180,6 +181,9 @@ class _Parser:
         self.error("expected a ring atom (Zn, Fq, GF(q), Zn[x]/(f), @name or table:path)")
 
     def prime_power(self, q: int, start: int) -> tuple[int, int]:
+        cap = config.current().ring_cap
+        if q > cap:  # refused before the trial division, which grows with q
+            raise ParseError(f"ring order {q} exceeds the cap {cap}", start, self.text)
         fac = factorize(q)
         if q < 2 or len(fac) != 1:
             raise ParseError(f"{q} is not a prime power, so it names no field", start, self.text)
@@ -201,7 +205,7 @@ class _Parser:
             self.error("expected a file path after 'table:'")
         return self.text[start : self.i]
 
-    def quotient_tail(self) -> tuple[int, ...]:
+    def quotient_tail(self, m: int, start: int) -> tuple[int, ...]:
         self.take("[")
         self.skip_ws()
         if self.peek() in ("x", "X"):
@@ -214,12 +218,15 @@ class _Parser:
         self.take("/")
         self.skip_ws()
         self.take("(")
-        coeffs = self.poly()
+        coeffs = self.poly(m, start)
         self.skip_ws()
         self.take(")")
         return coeffs
 
-    def poly(self) -> tuple[int, ...]:
+    def poly(self, m: int, start: int) -> tuple[int, ...]:
+        """Coefficients of the polynomial, constant term first, up to the
+        highest nonzero one; Z_m[x]/(f) has m^deg(f) elements, so a degree
+        past the cap is refused before the tuple is built."""
         acc: dict[int, int] = {}
         while True:
             e, c = self.term()
@@ -229,11 +236,13 @@ class _Parser:
                 self.i += 1
             else:
                 break
-        top = max(e for e in acc)
-        coeffs = tuple(acc.get(e, 0) for e in range(top + 1))
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        return coeffs
+        top = max((e for e, c in acc.items() if c), default=0)
+        if m < 2:
+            raise ParseError("coefficient modulus must be at least 2", start, self.text)
+        cap = config.current().ring_cap
+        if top > cap.bit_length() or m**top > cap:
+            raise ParseError(f"ring order {m}^{top} exceeds the cap {cap}", start, self.text)
+        return tuple(acc.get(e, 0) for e in range(top + 1))
 
     def term(self) -> tuple[int, int]:
         self.skip_ws()

@@ -6,6 +6,12 @@ display name per element.  Constructors cover every family the deciders
 need: Z_n, GF(p^k), univariate quotients Z_m[x]/(f) with f monic, and
 finite products.  Structure-constant ("table") rings live in `tables`.
 
+Quotients, GF(p^k) (built as a quotient) and table rings share one
+arithmetic, `bilinear_ops`, on Z_{m_1} x ... x Z_{m_k} in mixed radix: a
+quotient of degree d is the structure-constant ring on Z_m^d over the
+basis x^(d-1), ..., x, 1, so an element's index is its coefficient list
+read as base-m digits, constant term least significant.
+
 The ring's kind decides how its structure is computed.  Z_n's comes from
 its gcd classes: x is a unit exactly when gcd(x, n) = 1, and xy = 0 exactly
 when n divides gcd(x, n)·gcd(y, n), so units, annihilators and zero
@@ -22,6 +28,7 @@ two idempotents.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -79,7 +86,6 @@ class FiniteRing:
         vec_mul: VecOp,
         one: int,
         elem_name: Callable[[int], str],
-        payload: dict | None = None,
         factors: Sequence[FiniteRing] = (),
     ):
         if order < 2:
@@ -94,7 +100,6 @@ class FiniteRing:
         self._vec_add = vec_add
         self._vec_mul = vec_mul
         self._elem_name = elem_name
-        self.payload = payload or {}
         self.factors = tuple(factors)  # a product's factors, empty otherwise
 
     def __repr__(self):
@@ -280,8 +285,36 @@ def make_zn(n: int) -> FiniteRing:
         vec_mul=lambda i, j: (i * j) % n,
         one=1,
         elem_name=str,
-        payload={"n": n},
     )
+
+
+# -- structure constants over Z_{m_1} x ... x Z_{m_k} -------------------------
+
+
+def bilinear_ops(moduli: Sequence[int], products) -> tuple[VecOp, VecOp]:
+    """Add and multiply on Z_{m_1} x ... x Z_{m_k}, each element indexed by
+    its coordinates in mixed radix, the first most significant (the order
+    of `_mixed_decode`).  products[i][j] holds the coordinates of e_i e_j,
+    and multiplication is their bilinear extension: x * y applies x's
+    multiplication map sum_i x_i P_i to y's coordinates, so forming the map
+    costs k^3 per x and applying it k^2 per pair.
+    """
+    k = len(moduli)
+    mods = np.array(moduli, dtype=np.int64)
+    weights = np.array([math.prod(moduli[c + 1 :]) for c in range(k)], dtype=np.int64)
+    prods = (np.asarray(products, dtype=np.int64).reshape(k, k, k) % mods).reshape(k, k * k)
+
+    def coords(i):
+        return i[..., None] // weights % mods
+
+    def vadd(i, j):
+        return ((coords(i) + coords(j)) % mods) @ weights
+
+    def vmul(i, j):
+        maps = (coords(i) @ prods).reshape(i.shape + (k, k)) % mods
+        return (np.matmul(coords(j)[..., None, :], maps)[..., 0, :] % mods) @ weights
+
+    return vadd, vmul
 
 
 # -- polynomials over Z_m ----------------------------------------------------
@@ -299,23 +332,6 @@ def poly_name(coeffs: Sequence[int]) -> str:
             head = "" if c == 1 else str(c)
             terms.append(f"{head}x" if e == 1 else f"{head}x^{e}")
     return "+".join(terms) if terms else "0"
-
-
-def _decode(idx: np.ndarray, base: int, width: int) -> np.ndarray:
-    idx = np.asarray(idx, np.int64)
-    digits = np.empty(idx.shape + (width,), dtype=np.int64)
-    rest = idx.copy()
-    for t in range(width):
-        digits[..., t] = rest % base
-        rest //= base
-    return digits
-
-
-def _encode(digits: np.ndarray, base: int) -> np.ndarray:
-    out = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for t in range(digits.shape[-1] - 1, -1, -1):
-        out = out * base + digits[..., t]
-    return out
 
 
 def _poly_divides(div: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
@@ -351,29 +367,16 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RingError(f"no irreducible of degree {k} over Z_{p}")  # pragma: no cover
 
 
-def _quotient_ops(m: int, f: Sequence[int]) -> tuple[VecOp, VecOp, int]:
+def _quotient_products(m: int, f: tuple[int, ...]) -> list:
+    """Structure constants of Z_m[x]/(f) on the basis x^(d-1), ..., x, 1, so
+    that an element's index is its coefficient list read as base-m digits,
+    constant term least significant: e_i e_j = x^(2d-2-i-j) reduced mod f."""
     d = len(f) - 1
-    f_low = np.array(f[:d], dtype=np.int64)
-
-    def vadd(i, j):
-        return _encode((_decode(i, m, d) + _decode(j, m, d)) % m, m)
-
-    def vmul(i, j):
-        a = _decode(np.asarray(i), m, d)
-        b = _decode(np.asarray(j), m, d)
-        a, b = np.broadcast_arrays(a, b)
-        conv = np.zeros(a.shape[:-1] + (2 * d - 1,), dtype=np.int64)
-        for s in range(d):
-            for t in range(d):
-                conv[..., s + t] += a[..., s] * b[..., t]
-        conv %= m
-        for e in range(2 * d - 2, d - 1, -1):
-            lead = conv[..., e]
-            conv[..., e - d : e] = (conv[..., e - d : e] - lead[..., None] * f_low) % m
-            conv[..., e] = 0
-        return _encode(conv[..., :d], m)
-
-    return vadd, vmul, d
+    powers = [[int(e == t) for t in range(d)] for e in range(d)]  # x^e mod f, constant first
+    for _ in range(d - 1):
+        lead = powers[-1][-1]
+        powers.append([(c - lead * a) % m for c, a in zip([0] + powers[-1][:-1], f)])
+    return [[powers[2 * d - 2 - i - j][::-1] for j in range(d)] for i in range(d)]
 
 
 def make_quotient(m: int, f: Sequence[int]) -> FiniteRing:
@@ -388,10 +391,11 @@ def make_quotient(m: int, f: Sequence[int]) -> FiniteRing:
     d = len(f) - 1
     order = m**d
     _check_cap(order)
-    vadd, vmul, _ = _quotient_ops(m, f)
+    radices = [m] * d
+    vadd, vmul = bilinear_ops(radices, _quotient_products(m, f))
 
     def elem_name(x: int) -> str:
-        return poly_name(_decode(np.int64(x), m, d).tolist())
+        return poly_name([int(c) for c in reversed(_mixed_decode(np.int64(x), radices))])
 
     return FiniteRing(
         order=order,
@@ -401,7 +405,6 @@ def make_quotient(m: int, f: Sequence[int]) -> FiniteRing:
         vec_mul=vmul,
         one=1,
         elem_name=elem_name,
-        payload={"m": m, "f": f},
     )
 
 
@@ -417,7 +420,6 @@ def make_gf(p: int, k: int) -> FiniteRing:
     ring = make_quotient(p, f)
     ring.name = f"GF({p}^{k})"
     ring.kind = "gf"
-    ring.payload = {"p": p, "k": k, "modulus": f}
     return ring
 
 

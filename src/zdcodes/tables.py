@@ -2,10 +2,12 @@
 
 A table ring is presented on an additive group Z_{m_1} x ... x Z_{m_k} by a
 k x k matrix of generator products expanded over the basis; multiplication
-is the bilinear extension.  The constructor validates the presentation
+is the bilinear extension, computed by `rings.bilinear_ops` as for
+polynomial quotients.  The constructor checks the presentation's shape and
+its exact order against the ring cap first, then the presentation itself
 (commuting generator products, well-defined bilinear extension, basis
-associativity) and then re-validates every ring axiom exhaustively over all
-elements, so a bad structure constant cannot slip through.
+associativity), and then re-validates every ring axiom exhaustively over
+all elements, so a bad structure constant cannot slip through.
 
 The package ships eight fixture files: the seven exceptional local rings of
 order 16 whose graphs have cut vertices but no total perfect code, plus the
@@ -17,13 +19,15 @@ from ring expressions as "@<slug>".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, RingError, _check_cap, _mixed_decode, _mixed_encode, validate_ring
+from .rings import FiniteRing, RingError, _check_cap, _mixed_decode, _mixed_encode, bilinear_ops
+from .rings import validate_ring
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ def _spec_checks(spec: TableRingSpec) -> None:
         for cell in row:
             if len(cell) != k:
                 raise TableRingError("every generator product needs k coordinates")
+    _check_cap(math.prod(spec.moduli))
     for i in range(k):
         for j in range(k):
             pij = tuple(c % m for c, m in zip(spec.products[i][j], spec.moduli))
@@ -133,28 +138,8 @@ def _basis_associativity(spec: TableRingSpec) -> None:
 def make_table_ring(spec: TableRingSpec) -> FiniteRing:
     _spec_checks(spec)
     _basis_associativity(spec)
-    k = len(spec.moduli)
-    moduli = np.array(spec.moduli, dtype=np.int64)
-    prods = np.array(
-        [[list(cell) for cell in row] for row in spec.products], dtype=np.int64
-    )  # (k, k, k)
-    order = int(np.prod(moduli))
-    _check_cap(order)
     radices = list(spec.moduli)
-
-    def vadd(i, j):
-        a = _mixed_decode(i, radices)
-        b = _mixed_decode(j, radices)
-        return _mixed_encode([(x + y) % m for x, y, m in zip(a, b, radices)], radices)
-
-    def vmul(i, j):
-        a = np.stack(np.broadcast_arrays(*_mixed_decode(i, radices)), axis=-1)
-        b = np.stack(np.broadcast_arrays(*_mixed_decode(j, radices)), axis=-1)
-        a, b = np.broadcast_arrays(a, b)
-        coords = np.einsum("...i,...j,ijc->...c", a, b, prods)
-        coords %= moduli
-        return _mixed_encode([coords[..., c] for c in range(k)], radices)
-
+    vadd, vmul = bilinear_ops(radices, spec.products)
     one_idx = int(_mixed_encode([np.int64(c % m) for c, m in zip(spec.one, radices)], radices))
 
     def elem_name(x: int) -> str:
@@ -162,14 +147,13 @@ def make_table_ring(spec: TableRingSpec) -> FiniteRing:
         return "(" + ",".join(str(int(t)) for t in parts) + ")"
 
     ring = FiniteRing(
-        order=order,
+        order=math.prod(radices),
         name=spec.name,
         kind="table",
         vec_add=vadd,
         vec_mul=vmul,
         one=one_idx,
         elem_name=elem_name,
-        payload={"spec": spec},
     )
     if ring.mul(one_idx, one_idx) != one_idx:
         raise TableRingError("the designated one is not idempotent")

@@ -353,7 +353,7 @@ def artinian_split(ring: FiniteRing) -> tuple[list[FiniteRing], list[FiniteRing]
         if r.factors:
             return all(walk(f) for f in r.factors)
         if r.kind == "zn":
-            parts = factorize(r.payload["n"])
+            parts = factorize(r.order)
             if len(parts) > 1:
                 return all(walk(make_zn(p**e)) for p, e in parts)
         if r.is_field:

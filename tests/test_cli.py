@@ -454,6 +454,38 @@ def test_zero_coefficient_modulus_exits_1(capsys):
     assert err.count("\n") == 1 and "modulus must be at least 2" in err
 
 
+def _zero_spec(moduli):
+    k = len(moduli)
+    return {"name": "big", "moduli": moduli, "one": [1] + [0] * (k - 1),
+            "products": [[[0] * k for _ in range(k)] for _ in range(k)]}
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [[2**62 + 1, 4], [2**70], [2] * 80],
+    ids=["int64-wrap", "past-int64", "80-generators"],
+)
+def test_table_spec_above_the_cap_exits_1(tmp_path, capsys, moduli):
+    # the order is the exact product of the moduli, checked before any
+    # work that grows with the number of generators
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_zero_spec(moduli)))
+    code, out, err = run(capsys, "ring-info", f"table:{path}")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "exceeds the cap 4096" in err
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["F1000000000000000000000000000057", "GF(1000000000000000000000000000057)",
+     "Z2[x]/(x^100000000)", "Z4 x F100000000003"],
+)
+def test_ring_expression_above_the_cap_exits_1_at_once(capsys, target):
+    code, out, err = run(capsys, "tpc-decide", target)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "exceeds the cap 4096" in err
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -486,6 +518,22 @@ def test_verify_unexpected_discrepancy_exits_2(capsys, monkeypatch):
     monkeypatch.setitem(suites.SUITES, "paths", broken)
     code, out, _ = run(capsys, "verify", "paths")
     assert code == 2 and "UNEXPECTED" in out
+
+
+def test_known_findings_manifest_is_read_once(monkeypatch):
+    from zdcodes import suites
+
+    manifest = suites.known_findings()
+    reads = []
+    monkeypatch.setattr(suites, "known_findings", lambda: reads.append(1) or manifest)
+    suites.expected_finding_ids.cache_clear()
+    rep = suites.SuiteReport("mixed-products")
+    ids = [e["id"] for e in manifest["decider"] + manifest["counting"]]
+    for finding_id in ids + ["not-in-the-manifest", None]:
+        rep.finding("ring", "detail", finding_id)
+    suites.expected_finding_ids.cache_clear()
+    assert reads == [1]
+    assert [d["expected"] for d in rep.discrepancies] == [True] * len(ids) + [False, False]
 
 
 # -- one parser per process ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import string
 
 import pytest
@@ -138,3 +139,32 @@ def test_render_canonical_forms():
     assert render(GFExpr(2, 2)) == "F4"
     assert render(QuotientExpr(3, (0, 0, 1))) == "Z3[x]/(x^2)"
     assert render(ProductExpr((ZnExpr(2), GFExpr(3, 1)))) == "Z2 x F3"
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [("F1000000000000000000000000000057", "1000000000000000000000000000057"),
+     ("GF(1000000000000000000000000000057)", "1000000000000000000000000000057"),
+     ("Z2[x]/(x^100000000)", "2^100000000"),
+     ("Z65[x]/(x^2)", "65^2"),
+     ("F8192", "8192")],
+)
+def test_parse_refuses_rings_above_the_cap(text, order):
+    # refused before factoring q or building a coefficient per exponent
+    with pytest.raises(ParseError, match=re.escape(f"ring order {order} exceeds the cap 4096")):
+        parse_ring(text)
+
+
+def test_parse_keeps_rings_at_the_cap(monkeypatch):
+    assert parse_ring("F4096") == GFExpr(2, 12)
+    assert parse_ring("Z64[x]/(x^2)") == QuotientExpr(64, (0, 0, 1))
+    assert parse_ring("Z2[x]/(x^12+x+1)") == QuotientExpr(2, (1, 1) + (0,) * 10 + (1,))
+    assert parse_ring("Z2[x]/(0x^100000000+x)") == QuotientExpr(2, (0, 1))
+    for text in ("F4096", "Z64[x]/(x^2)", "Z2[x]/(x^12+x+1)"):
+        assert render(parse_ring(text)) == text
+    monkeypatch.setenv("ZDCODES_RING_CAP", "8")
+    assert parse_ring("F8") == GFExpr(2, 3)
+    with pytest.raises(ParseError, match="cap 8"):
+        parse_ring("F9")
+    with pytest.raises(ParseError, match="cap 8"):
+        parse_ring("Z3[x]/(x^2)")

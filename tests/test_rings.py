@@ -77,7 +77,8 @@ def test_gf_small_fields():
 def test_gf_modulus_choice_is_deterministic():
     assert smallest_irreducible(2, 2) == (1, 1, 1)  # x^2+x+1
     assert smallest_irreducible(3, 2) == (1, 0, 1)  # x^2+1
-    assert make_gf(2, 3).payload["modulus"] == (1, 0, 1, 1)  # x^3+x^2+1
+    assert smallest_irreducible(2, 3) == (1, 0, 1, 1)  # x^3+x^2+1
+    assert make_gf(2, 3).mul(2, 4) == 5  # x * x^2 = x^2 + 1 modulo that polynomial
 
 
 def test_quotient_rings():
