@@ -28,7 +28,6 @@ two idempotents.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -293,26 +292,26 @@ def make_zn(n: int) -> FiniteRing:
 
 def bilinear_ops(moduli: Sequence[int], products) -> tuple[VecOp, VecOp]:
     """Add and multiply on Z_{m_1} x ... x Z_{m_k}, each element indexed by
-    its coordinates in mixed radix, the first most significant (the order
-    of `_mixed_decode`).  products[i][j] holds the coordinates of e_i e_j,
+    its coordinates in mixed radix (`_mixed_decode`), the first most
+    significant.  products[i][j] holds the coordinates of e_i e_j,
     and multiplication is their bilinear extension: x * y applies x's
     multiplication map sum_i x_i P_i to y's coordinates, so forming the map
     costs k^3 per x and applying it k^2 per pair.
     """
     k = len(moduli)
     mods = np.array(moduli, dtype=np.int64)
-    weights = np.array([math.prod(moduli[c + 1 :]) for c in range(k)], dtype=np.int64)
     prods = (np.asarray(products, dtype=np.int64).reshape(k, k, k) % mods).reshape(k, k * k)
 
-    def coords(i):
-        return i[..., None] // weights % mods
-
     def vadd(i, j):
-        return ((coords(i) + coords(j)) % mods) @ weights
+        a, b = _mixed_decode(i, moduli), _mixed_decode(j, moduli)
+        return _mixed_encode([(s + t) % m for s, t, m in zip(a, b, moduli)], moduli)
 
     def vmul(i, j):
-        maps = (coords(i) @ prods).reshape(i.shape + (k, k)) % mods
-        return (np.matmul(coords(j)[..., None, :], maps)[..., 0, :] % mods) @ weights
+        a = np.stack(_mixed_decode(i, moduli), axis=-1)
+        b = np.stack(_mixed_decode(j, moduli), axis=-1)
+        maps = (a @ prods).reshape(a.shape[:-1] + (k, k)) % mods
+        out = np.matmul(b[..., None, :], maps)[..., 0, :] % mods
+        return _mixed_encode([out[..., c] for c in range(k)], moduli)
 
     return vadd, vmul
 
