@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, RingError, _check_cap, _mixed_decode, _mixed_encode, bilinear_ops
-from .rings import validate_ring
+from .rings import (
+    FiniteRing, RingError, _check_cap, _mixed_decode, _mixed_encode, bilinear_ops, validate_ring,
+)
 
 
 @dataclass(frozen=True)
