@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 for success or decider consensus
 (either answer), 1 for usage, parse or input errors, 2 for an unexpected
 decider discrepancy.  Every command prints human-readable text by default
 and structured JSON under --json; outputs are deterministic for fixed
-inputs and seeds.
+inputs and seeds.  `tpc-decide` picks a graph's closed-form routes by its
+shape, whether it comes from a generator, a file or a ring.
 """
 
 from __future__ import annotations
@@ -17,29 +18,7 @@ import sys
 import warnings
 
 from . import config, graphs, ringexpr, suites, tables, trees, zdg
-from .graphs import (
-    fixture_graph8,
-    make_complete,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
-    make_star,
-)
-from .tpc import (
-    DeciderResult,
-    Verdict,
-    complete_bipartite_code,
-    complete_decider,
-    consensus,
-    cycle_code,
-    cycle_decider,
-    find_tpc,
-    is_total_perfect_code,
-    path_code,
-    path_decider,
-    regular_parity_check,
-    tree_tpc,
-)
+from .tpc import DeciderResult, Verdict, consensus, find_tpc, graph_routes, is_total_perfect_code
 
 RING_GRAMMAR = """\
 ring expression grammar (whitespace insignificant):
@@ -217,27 +196,23 @@ def cmd_zdg_export(args) -> int:
     return 0
 
 
-def _parse_graph_target(target: str) -> tuple[graphs.Graph, dict] | None:
+def _parse_graph_target(target: str) -> graphs.Graph | None:
     if target == "fig1":
-        return fixture_graph8(), {}
+        return graphs.fixture_graph8()
     head, _, rest = target.partition(":")
     try:
-        if head == "path":
-            return make_path(int(rest)), {}
-        if head == "cycle":
-            return make_cycle(int(rest)), {}
-        if head == "complete":
-            return make_complete(int(rest)), {}
+        if head in ("path", "cycle", "complete", "star"):
+            return getattr(graphs, f"make_{head}")(int(rest))
         if head == "kmn":
-            m, n = (int(t) for t in rest.split(","))
-            return make_complete_bipartite(m, n), {"m": m, "n": n}
-        if head == "star":
-            return make_star(int(rest)), {"m": 1, "n": int(rest)}
+            sizes = rest.split(",")
+            if len(sizes) != 2:
+                raise ValueError("expected kmn:m,n")
+            return graphs.make_complete_bipartite(*map(int, sizes))
         if head == "corona" and rest.startswith("path:"):
-            return trees.corona(make_path(int(rest.split(":")[1])), make_complete(1)), {}
+            return trees.corona(graphs.make_path(int(rest.split(":")[1])), graphs.make_complete(1))
         if head == "file":
             with open(rest, "r", encoding="utf-8") as fh:
-                return graphs.from_json(fh.read(), name=rest), {}
+                return graphs.from_json(fh.read(), name=rest)
     except (ValueError, OSError) as exc:
         raise ValueError(f"bad graph target {target!r}: {exc}") from exc
     return None
@@ -254,42 +229,24 @@ def _warn_above(vertices: int, bound: int | None) -> None:
 
 def decide(target: str, bound: int | None = None) -> Verdict:
     """Parse a graph target or a ring expression, run every route that
-    applies and join them by the one consensus rule.  The exact search
-    always runs; `bound` only sets the vertex count above which it warns.
+    applies and join them by the one consensus rule.  A graph's routes come
+    from its shape (`tpc.graph_routes`), not its name, and `fig1` adds its
+    documented code.  The exact search always runs; `bound` only sets the
+    vertex count above which it warns.
     """
-    parsed = _parse_graph_target(target)
-    if parsed is None:
+    g = _parse_graph_target(target)
+    if g is None:
         ring = ringexpr.ring_from_text(target)
         _warn_above(len(ring.zero_divisors_nonzero), bound)
         return zdg.decide_ring(ring)
-    g, meta = parsed
     _warn_above(g.n, bound)
-    head = target.split(":")[0]
-    exact = find_tpc(g)
-    routes = []
-    if head == "path":
-        admits = path_decider(g.n)
-        routes.append(("path-congruence", admits, path_code(g.n) if admits else None))
-    elif head == "cycle":
-        admits = cycle_decider(g.n)
-        routes.append(("cycle-congruence", admits, cycle_code(g.n) if admits else None))
-    elif head == "complete":
-        routes.append(("complete-size", complete_decider(g.n), None))
-    elif head in ("kmn", "star"):
-        code = complete_bipartite_code(meta["m"], meta["n"])
-        routes.append(("complete-bipartite-construction", True, code))
-    elif head == "fig1":
+    routes = graph_routes(g)
+    if target == "fig1":
         known = frozenset({0, 1, 6, 7})
-        routes.append(("fixture-code", is_total_perfect_code(g, known), known))
-    if g.is_tree():
-        code = tree_tpc(g)
-        routes.append(("tree-solver", code is not None, code))
-    parity = regular_parity_check(g)
-    if parity is not None:
-        routes.append(("regular-parity", parity, None))
-    routes.append(("exact-search", exact is not None, exact))
-    results = [DeciderResult(*route).named() for route in routes]
-    return consensus(target, results, graph=g)
+        routes.append(DeciderResult("fixture-code", is_total_perfect_code(g, known), known))
+    exact = find_tpc(g)
+    routes.append(DeciderResult("exact-search", exact is not None, exact))
+    return consensus(target, [r.named() for r in routes], graph=g)
 
 
 def cmd_tpc_decide(args) -> int:

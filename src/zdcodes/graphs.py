@@ -6,7 +6,8 @@ vertex only when its label is read.  The one adjacency kept is a Python-int
 bitmask of each vertex's neighbourhood; the edge list is derived from it
 when read.  `Graph(n, edges)` validates its edges; `Graph.from_masks` is the
 one unchecked constructor, for callers that derive the masks of a graph
-already known to be valid.
+already known to be valid.  The shapes with closed-form codes are read off
+the masks: `Graph.walk` (paths, cycles), `Graph.complete_bipartite_sides`.
 """
 
 from __future__ import annotations
@@ -152,11 +153,12 @@ class Graph:
         return tuple(m.bit_count() for m in self.neighbor_masks)
 
     def is_regular(self) -> int | None:
-        """The common degree t when the graph is t-regular, else None."""
+        """The common degree t when the graph is t-regular, else None; the
+        scan stops at the first degree that differs from vertex 0's."""
         if self.n == 0:
             return None
-        degs = set(self.degree_sequence())
-        return degs.pop() if len(degs) == 1 else None
+        t = self.neighbor_masks[0].bit_count()
+        return t if all(m.bit_count() == t for m in self.neighbor_masks) else None
 
     def end_vertices(self) -> frozenset[int]:
         return frozenset(v for v, m in enumerate(self.neighbor_masks) if m.bit_count() == 1)
@@ -197,12 +199,40 @@ class Graph:
     def _is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
 
+    # -- shapes with closed forms -----------------------------------------
+
+    def walk(self) -> tuple[int, ...] | None:
+        """The vertices in walk order when the graph is a path or a cycle,
+        that is connected with every degree at most 2: a path from its
+        least end vertex, a cycle from vertex 0 towards its lesser
+        neighbour.  None otherwise, and for the empty graph."""
+        masks = self.neighbor_masks
+        if self.n == 0 or any(m.bit_count() > 2 for m in masks):
+            return None
+        v = next((v for v, m in enumerate(masks) if m.bit_count() < 2), 0)
+        order, seen = [v], 1 << v
+        while step := masks[v] & ~seen:
+            v = (step & -step).bit_length() - 1
+            order.append(v)
+            seen |= 1 << v
+        return tuple(order) if len(order) == self.n else None
+
+    def complete_bipartite_sides(self) -> tuple[int, int] | None:
+        """The sides of K_{m,n} with m, n >= 1 as bitmasks, vertex 0's side
+        first, or None when the graph is not complete bipartite.  The sides
+        can only be N(0) and its complement, so one pass checks that every
+        vertex sees exactly the side it is not on."""
+        masks = self.neighbor_masks
+        other = masks[0] if masks else 0
+        own = ((1 << self.n) - 1) ^ other
+        if not other or any(m != (own if other >> v & 1 else other) for v, m in enumerate(masks)):
+            return None
+        return own, other
+
     def is_star(self) -> bool:
         """K_{1,k} for some k >= 1 (P_2 counts as K_{1,1})."""
-        if self.n < 2 or self.edge_count != self.n - 1:
-            return False
-        degs = sorted(self.degree_sequence())
-        return degs[-1] == self.n - 1 and all(d == 1 for d in degs[:-1])
+        sides = self.complete_bipartite_sides()
+        return sides is not None and min(s.bit_count() for s in sides) == 1
 
 
 def diameter(g: Graph) -> int | float:

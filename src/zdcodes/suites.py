@@ -26,15 +26,7 @@ from importlib import resources
 from . import config, tables, trees, zdg
 from .graphs import Graph, diameter, is_matching, make_cycle, make_path
 from .rings import make_gf, make_quotient, make_zn, zn_crt
-from .tpc import (
-    cycle_code,
-    cycle_decider,
-    find_tpc,
-    is_total_perfect_code,
-    path_code,
-    path_decider,
-    tree_tpc,
-)
+from .tpc import find_tpc, graph_routes, is_total_perfect_code, path_decider, tree_tpc
 
 DEFAULT_TREE_SEED = 20250808
 
@@ -122,17 +114,6 @@ def _timed(suite):
     return run
 
 
-def _is_complete_bipartite(g: Graph) -> bool:
-    """Each vertex is joined to exactly the other side of the 2-colouring by
-    distance from vertex 0; a vertex out of its reach never is."""
-    if g.n < 2:
-        return False
-    dist = g.bfs_distances(0)
-    even = sum(1 << v for v, d in enumerate(dist) if d % 2 == 0)
-    odd = ((1 << g.n) - 1) ^ even
-    return all(m == (odd if d % 2 == 0 else even) for d, m in zip(dist, g.neighbor_masks))
-
-
 def _matching_identity_checks(g: Graph, code, report: SuiteReport, instance: str) -> bool:
     """Induced matching, even size, and the regular counting identity."""
     ok = True
@@ -152,53 +133,45 @@ def _matching_identity_checks(g: Graph, code, report: SuiteReport, instance: str
 # -- paths / cycles -------------------------------------------------------------
 
 
-@_timed
-def suite_paths(max_n: int = 24) -> SuiteReport:
-    rep = SuiteReport("paths")
-    for n in range(2, max_n + 1):
-        g = make_path(n)
-        exact = find_tpc(g)
-        claimed = path_decider(n)
-        if claimed != (exact is not None):
-            rep.finding(f"path:{n}", f"decider says {claimed}, exact search says {exact is not None}")
-            continue
-        if claimed:
-            code = path_code(n)
-            if not is_total_perfect_code(g, code):
-                rep.finding(f"path:{n}", "constructive code fails the verifier")
+def _shape_suite(name: str, instances) -> SuiteReport:
+    """Every shape route on each (instance, graph) against the exact search:
+    the answers match, each witness passes the verifier and the matching
+    checks, and an order-2 code sits on a complete bipartite graph."""
+    rep = SuiteReport(name)
+    for instance, g in instances:
+        exact = find_tpc(g) is not None
+        kmn = g.complete_bipartite_sides() is not None
+        for r in graph_routes(g):
+            if r.admits != exact:
+                rep.finding(instance, f"{r.decider_id} says {r.admits}, exact search says {exact}")
+                break
+            if r.witness is None:
                 continue
-            if not _matching_identity_checks(g, code, rep, f"path:{n}"):
-                continue
-            if len(code) == 2 and not _is_complete_bipartite(g):
+            if not is_total_perfect_code(g, r.witness):
+                rep.finding(instance, f"{r.decider_id} code fails the verifier")
+                break
+            if not _matching_identity_checks(g, r.witness, rep, instance):
+                break
+            if len(r.witness) == 2 and not kmn:
                 rep.finding(
-                    f"path:{n}",
+                    instance,
                     "order-2 code on a bipartite graph that is not complete bipartite",
                     finding_id="bipartite-order2-converse",
                 )
-                continue
-        rep.agree()
+                break
+        else:
+            rep.agree()
     return rep
+
+
+@_timed
+def suite_paths(max_n: int = 24) -> SuiteReport:
+    return _shape_suite("paths", ((f"path:{n}", make_path(n)) for n in range(2, max_n + 1)))
 
 
 @_timed
 def suite_cycles(max_n: int = 24) -> SuiteReport:
-    rep = SuiteReport("cycles")
-    for n in range(3, max_n + 1):
-        g = make_cycle(n)
-        exact = find_tpc(g)
-        claimed = cycle_decider(n)
-        if claimed != (exact is not None):
-            rep.finding(f"cycle:{n}", f"decider says {claimed}, exact search says {exact is not None}")
-            continue
-        if claimed:
-            code = cycle_code(n)
-            if not is_total_perfect_code(g, code):
-                rep.finding(f"cycle:{n}", "constructive code fails the verifier")
-                continue
-            if not _matching_identity_checks(g, code, rep, f"cycle:{n}"):
-                continue
-        rep.agree()
-    return rep
+    return _shape_suite("cycles", ((f"cycle:{n}", make_cycle(n)) for n in range(3, max_n + 1)))
 
 
 # -- trees ----------------------------------------------------------------------

@@ -49,13 +49,19 @@ class TableRingSpec:
                 raise TableRingError(f"table spec has no {key!r}")
             if key != "name" and not isinstance(obj[key], list):
                 raise TableRingError(f"table spec field {key!r} must be a list")
+
+        def entry(x) -> int:
+            if type(x) is not int:  # a bool or a float would be read as another integer
+                raise ValueError(f"{x!r} is not an integer")
+            return x
+
         try:
             return TableRingSpec(
                 name=str(obj["name"]),
-                moduli=tuple(int(m) for m in obj["moduli"]),
-                one=tuple(int(c) for c in obj["one"]),
+                moduli=tuple(entry(m) for m in obj["moduli"]),
+                one=tuple(entry(c) for c in obj["one"]),
                 products=tuple(
-                    tuple(tuple(int(c) for c in cell) for cell in row) for row in obj["products"]
+                    tuple(tuple(entry(c) for c in cell) for cell in row) for row in obj["products"]
                 ),
             )
         except (TypeError, ValueError) as exc:

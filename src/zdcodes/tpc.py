@@ -5,9 +5,10 @@ A total perfect code (efficient open dominating set) is a vertex set C with
 the verifier, the exact oracle (an exact-cover search, see `kernels`), a
 linear tree dynamic program and the closed-form deciders for paths,
 cycles, complete and complete bipartite graphs, each returning a
-constructive code that the verifier accepts.  It also holds the verdict
-type every decider returns and `consensus`, the one rule that joins the
-routes run on an instance.
+constructive code that the verifier accepts; `graph_routes` picks them by
+the graph's shape, so any graph of that shape gets them.  It also holds
+the verdict type every decider returns and `consensus`, the one rule that
+joins the routes run on an instance.
 
 Conventions (degenerate inputs are legal everywhere):
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import kernels
-from .graphs import Graph, GraphError, bits, make_complete_bipartite
+from .graphs import Graph, GraphError, bits
 
 CodeSet = frozenset
 
@@ -230,9 +231,9 @@ def tree_tpc(t: Graph, force_include: int | None = None) -> frozenset[int] | Non
 
 
 def path_decider(n: int) -> bool:
-    """Paths admit a code except when n is 1 modulo 4."""
-    if n < 2:
-        raise ValueError("path decider needs n >= 2")
+    """Paths admit a code except when n is 1 modulo 4, P_1 included."""
+    if n < 1:
+        raise ValueError("path decider needs n >= 1")
     return n % 4 != 1
 
 
@@ -259,8 +260,8 @@ def cycle_code(n: int) -> frozenset[int]:
 
 
 def complete_decider(n: int) -> bool:
-    if n < 2:
-        raise ValueError("complete decider needs n >= 2")
+    if n < 1:
+        raise ValueError("complete decider needs n >= 1")
     return n == 2
 
 
@@ -268,19 +269,47 @@ def complete_bipartite_code(m: int, n: int) -> frozenset[int]:
     """First vertex of each part; any cross pair works in K_{m,n}."""
     if m < 1 or n < 1:
         raise ValueError("complete bipartite needs m, n >= 1")
-    code = frozenset({0, m})
-    assert is_total_perfect_code(make_complete_bipartite(m, n), code)
-    return code
+    return frozenset({0, m})
 
 
 def regular_parity_check(g: Graph) -> bool | None:
     """Some(False) when a t-regular graph has odd order (no code can
     exist); None otherwise - even order alone proves nothing.
     """
-    t = g.is_regular()
-    if t is not None and t >= 1 and g.n % 2 == 1:
+    if g.n % 2 and g.is_regular():  # None, and 0 on an edgeless graph, are falsy
         return False
     return None
+
+
+def graph_routes(g: Graph) -> list[DeciderResult]:
+    """Every closed-form route whose shape the graph has, in this order:
+    path- or cycle-congruence (the code mapped through `Graph.walk`),
+    complete-size, complete-bipartite-construction (the least vertex of
+    each side), tree-solver and regular-parity.  Witnesses are vertex ids."""
+    n, edges = g.n, g.edge_count
+    routes = []
+    walk = g.walk()
+    if walk is not None:
+        kind, decider, code = (
+            ("path", path_decider, path_code) if edges == n - 1
+            else ("cycle", cycle_decider, cycle_code)
+        )
+        admits = decider(n)
+        witness = frozenset(walk[i] for i in code(n)) if admits else None
+        routes.append(DeciderResult(f"{kind}-congruence", admits, witness))
+    if n and 2 * edges == n * (n - 1):
+        routes.append(DeciderResult("complete-size", complete_decider(n)))
+    sides = g.complete_bipartite_sides()
+    if sides is not None:
+        witness = frozenset((s & -s).bit_length() - 1 for s in sides)
+        routes.append(DeciderResult("complete-bipartite-construction", True, witness))
+    if edges == n - 1 and g.is_connected():  # a tree
+        code = tree_tpc(g)
+        routes.append(DeciderResult("tree-solver", code is not None, code))
+    parity = regular_parity_check(g)
+    if parity is not None:
+        routes.append(DeciderResult("regular-parity", parity))
+    return routes
 
 
 # -- end-vertex probe --------------------------------------------------------

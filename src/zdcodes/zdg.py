@@ -32,7 +32,7 @@ from .rings import (
     make_zn,
     product_encode,
 )
-from .tpc import DeciderResult, Verdict, consensus, enumerate_tpcs, find_tpc
+from .tpc import DeciderResult, Verdict, consensus, enumerate_tpcs, find_tpc, graph_routes
 
 
 @dataclass(frozen=True)
@@ -372,10 +372,11 @@ def artinian_split(ring: FiniteRing) -> tuple[list[FiniteRing], list[FiniteRing]
 def decide_ring(ring: FiniteRing) -> Verdict:
     """Every route on one ring, over one Gamma(R): the pair sweep, the
     structural case analysis on the Artinian split (its own graph routes
-    read the same Gamma, the split being isomorphic to R) and the exact
-    search.  A disagreement among the case analysis's own routes flags the
-    verdict and carries their notes.  A field's empty graph gets the
-    vacuous route only.
+    read the same Gamma, the split being isomorphic to R), the closed
+    forms whose shape Gamma has (`tpc.graph_routes`, witnesses named in R)
+    and the exact search.  A disagreement among the case analysis's own
+    routes flags the verdict and carries their notes.  A field's empty
+    graph gets the vacuous route only.
     """
     z = zero_divisor_graph(ring)
     if z.graph.n == 0:
@@ -389,6 +390,9 @@ def decide_ring(ring: FiniteRing) -> Verdict:
         route_id = "structural:" + "+".join(d.decider_id for d in v.deciders)
         results.append(DeciderResult(route_id, v.admits, v.witness, v.witness_names))
         notes = v.notes
+    for r in graph_routes(z.graph):
+        witness = z.to_elements(r.witness) if r.witness is not None else None
+        results.append(_route(ring, r.decider_id, r.admits, witness))
     exact = ring_code_exact(z)
     results.append(_route(ring, "exact-search", exact is not None, exact))
     return consensus(ring.name, results, notes, graph=z)

@@ -82,6 +82,8 @@ def test_zdg_export_to_file(tmp_path, capsys):
         ("kmn:2,3", True),
         ("star:5", True),
         ("corona:path:6", False),
+        ("path:1", False),
+        ("complete:1", False),
         ("fig1", True),
         ("Z12", True),
         ("Z9", True),
@@ -437,8 +439,12 @@ def test_bad_graph_file_exits_1(tmp_path, capsys, text):
         ([2, [1], [[[1]]]], "must be a JSON object"),
         ({"name": "tiny", "moduli": [2], "one": [1]}, "has no 'products'"),
         ({"name": "tiny", "moduli": 2, "one": [1], "products": [[[1]]]}, "'moduli' must be a list"),
+        ({"name": "tiny", "moduli": [2.9], "one": [1.2], "products": [[[1.7]]]},
+         "2.9 is not an integer"),
+        ({"name": "tiny", "moduli": [True, 2], "one": [1, 0],
+          "products": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}, "True is not an integer"),
     ],
-    ids=["list", "no-products", "moduli-int"],
+    ids=["list", "no-products", "moduli-int", "floats", "bool-modulus"],
 )
 def test_bad_table_spec_file_exits_1(tmp_path, capsys, obj, message):
     path = tmp_path / "spec.json"
@@ -446,6 +452,13 @@ def test_bad_table_spec_file_exits_1(tmp_path, capsys, obj, message):
     code, out, err = run(capsys, "tpc-decide", f"table:{path}")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("target", ["kmn:1", "kmn:1,2,3", "kmn:"])
+def test_kmn_target_names_its_form(capsys, target):
+    code, out, err = run(capsys, "tpc-decide", target)
+    assert code == 1 and out == ""
+    assert err == f"error: bad graph target {target!r}: expected kmn:m,n\n"
 
 
 def test_zero_coefficient_modulus_exits_1(capsys):

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_solver import gnp_graphs
+from test_tpc import shaped_graphs
 from zdcodes import graphs
 from zdcodes.graphs import (
     Graph,
     GraphError,
     articulation_points,
+    bits,
     corona,
     diameter,
     fixture_graph8,
@@ -55,6 +57,41 @@ def test_corona_small_shapes():
 
 def test_star_is_complete_bipartite_1n():
     assert make_star(3).edges == make_complete_bipartite(1, 3).edges
+    # a star is K_{1,k}, whichever side holds the centre
+    for m in range(1, 5):
+        for n in range(1, 5):
+            assert make_complete_bipartite(m, n).is_star() == (min(m, n) == 1)
+    assert make_path(3).is_star() and not make_path(4).is_star()
+    assert not make_complete(1).is_star() and not Graph(3, [(0, 1)]).is_star()
+
+
+def _nx(g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gnp_graphs(max_n=12), shaped_graphs().map(lambda s: s[1])))
+def test_shape_recognisers_match_networkx(g):
+    h = _nx(g)
+    connected = g.n > 0 and nx.is_connected(h)
+    walk = g.walk()
+    assert (walk is not None) == (connected and max(d for _, d in h.degree) <= 2)
+    if walk is not None:
+        assert sorted(walk) == list(range(g.n))
+        assert all(h.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+    sides = g.complete_bipartite_sides()
+    kmn = connected and g.n >= 2 and nx.is_bipartite(h)
+    if kmn:
+        a, b = nx.bipartite.sets(h)
+        kmn = g.edge_count == len(a) * len(b)
+    assert (sides is not None) == kmn
+    if sides is not None:
+        own, other = (set(bits(s)) for s in sides)
+        assert 0 in own and own | other == set(range(g.n))
+        assert all(h.has_edge(x, y) for x in own for y in other)
 
 
 def test_fixture8():

@@ -30,6 +30,7 @@ from zdcodes.tpc import (
     is_total_perfect_code,
     path_code,
     path_decider,
+    graph_routes,
     regular_parity_check,
     tree_tpc,
 )
@@ -151,8 +152,9 @@ def test_path_examples():
     assert path_decider(4) and path_code(4) == {1, 2}
     with pytest.raises(ValueError):
         path_code(9)
+    assert not path_decider(1)  # P_1 is a single vertex
     with pytest.raises(ValueError):
-        path_decider(1)
+        path_decider(0)
 
 
 def test_cycle_decider_against_exact():
@@ -173,7 +175,7 @@ def test_cycle_examples():
 
 
 def test_complete_decider():
-    for n in range(2, 10):
+    for n in range(1, 10):
         assert complete_decider(n) == (find_tpc(make_complete(n)) is not None)
     assert complete_decider(2)
     assert not complete_decider(3)
@@ -186,6 +188,42 @@ def test_complete_bipartite_codes():
             code = complete_bipartite_code(m, n)
             assert code == {0, m}
             assert is_total_perfect_code(make_complete_bipartite(m, n), code)
+
+
+@st.composite
+def shaped_graphs(draw):
+    """(route id, graph): a path, cycle, complete graph, K_{m,n} or random
+    tree with its vertices relabelled by a random permutation."""
+    route = draw(st.sampled_from(["path", "cycle", "complete", "kmn", "tree"]))
+    if route == "path":
+        g = make_path(draw(st.integers(1, 14)))
+    elif route == "cycle":
+        g = make_cycle(draw(st.integers(3, 14)))
+    elif route == "complete":
+        g = make_complete(draw(st.integers(1, 8)))
+    elif route == "kmn":
+        g = make_complete_bipartite(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    else:
+        n = draw(st.integers(2, 14))
+        g = prufer_to_tree(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)))
+    perm = draw(st.permutations(range(g.n)))
+    ids = {"path": "path-congruence", "cycle": "cycle-congruence", "complete": "complete-size",
+           "kmn": "complete-bipartite-construction", "tree": "tree-solver"}
+    return ids[route], Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_graphs())
+def test_graph_routes_agree_with_the_exact_search(shaped):
+    # the shape is recognised under any relabelling, and every route's
+    # answer and witness holds against the exact search and the verifier
+    route, g = shaped
+    routes = graph_routes(g)
+    assert route in [r.decider_id for r in routes]
+    exact = find_tpc(g) is not None
+    for r in routes:
+        assert r.admits == exact, r.decider_id
+        assert r.witness is None or is_total_perfect_code(g, r.witness), r.decider_id
 
 
 def test_regular_parity():

@@ -410,6 +410,20 @@ def test_code_pair_check_matches_verifier():
     assert edges > 1000 and codes > 0
 
 
+def test_decide_ring_z2_to_z300_has_no_discrepancy():
+    # the routes picked by Gamma's shape run beside the structural route and
+    # the exact search; each witness they give is a code pair of the ring
+    shaped = 0
+    for n in range(2, 301):
+        ring = make_zn(n)
+        v = zdg.decide_ring(ring)
+        assert not v.discrepancy, (n, v.notes)
+        for d in v.deciders[2:-1]:
+            shaped += 1
+            assert d.witness is None or zdg.is_code_pair(ring, *d.witness), (n, d)
+    assert shaped > 0
+
+
 def test_decide_ring_routes():
     v = zdg.decide_ring(make_zn(12))
     assert [d.decider_id for d in v.deciders] == [
