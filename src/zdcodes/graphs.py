@@ -68,6 +68,38 @@ def _layers(masks, frontier: int):
         seen |= frontier
 
 
+def twin_map(masks) -> dict[int, int]:
+    """Each neighbourhood bitmask in `masks` mapped to the bitmask of the
+    vertices that have it, the classes in ascending order of their least
+    vertices.  Vertices with one neighbourhood are twins; they are never
+    adjacent, since no vertex is its own neighbour."""
+    twins: dict[int, int] = {}
+    for v, m in enumerate(masks):
+        twins[m] = twins.get(m, 0) | 1 << v
+    return twins
+
+
+def representatives(masks, twins) -> tuple[int, list[int] | tuple[int, ...]]:
+    """(reps, cut): the bitmask of the least vertex of each twin class in
+    `twins` (`twin_map(masks)`), and the masks with each representative's
+    neighbourhood cut to reps.  Only the representatives' entries of cut are
+    meant to be read; a graph without twins gets its masks back unchanged.
+
+    Adjacent vertices are in distinct classes, and a vertex adjacent to one
+    twin is adjacent to all of them, so replacing each vertex of a walk by
+    its representative gives a walk: the graph on the representatives keeps
+    every distance between distinct classes."""
+    if len(twins) == len(masks):
+        return (1 << len(masks)) - 1, masks
+    reps = 0
+    for cls in twins.values():
+        reps |= cls & -cls
+    cut = list(masks)
+    for m, cls in twins.items():
+        cut[(cls & -cls).bit_length() - 1] = m & reps
+    return reps, cut
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable once built.
     `neighbor_masks[v]` has bit w set exactly when v and w are adjacent."""
@@ -192,6 +224,11 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
 
+    @cached_property
+    def twins(self) -> dict[int, int]:
+        """`twin_map` of the neighbourhood masks, built once per graph."""
+        return twin_map(self.neighbor_masks)
+
     def is_tree(self) -> bool:
         return self._is_tree
 
@@ -237,18 +274,20 @@ class Graph:
 
 def diameter(g: Graph) -> int | float:
     """Longest shortest-path length; inf when disconnected, 0 for n <= 1.
-    Twins (equal neighbourhoods) are at distance 2 and equally far from
-    every other vertex, so one breadth-first search per distinct
-    neighbourhood covers every eccentricity; with n >= 2 a vertex without
-    neighbours makes its own search return inf."""
-    masks = g.neighbor_masks
-    full = (1 << g.n) - 1
-    best = 0
-    for v in dict(zip(masks, range(g.n))).values():
+    The breadth-first searches run only from and over the twin-class
+    representatives (`representatives`): distinct classes keep their
+    distance there, and two twins are at distance 2 through any common
+    neighbour once no vertex is isolated."""
+    twins = g.twins
+    if 0 in twins:  # an isolated vertex
+        return float("inf") if g.n > 1 else 0
+    reps, cut = representatives(g.neighbor_masks, twins)
+    best = 0 if len(twins) == g.n else 2
+    for v in bits(reps):
         seen = 0
-        for depth, layer in enumerate(_layers(masks, 1 << v)):
+        for depth, layer in enumerate(_layers(cut, 1 << v)):
             seen |= layer
-        if seen != full:
+        if seen != reps:
             return float("inf")
         best = max(best, depth)
     return best

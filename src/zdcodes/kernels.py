@@ -1,32 +1,44 @@
 """Exact total-perfect-code search and the edge-pair sweep, on bitsets.
 
 A graph is given by its open neighbourhoods as Python-int bitmasks
-(`Graph.neighbor_masks`), the only adjacency either routine reads; neither
-needs an edge list.  A total perfect code C covers every vertex
-exactly once by the sets N(c), c in C, so the search is Knuth's Algorithm X
-for exact cover ("Dancing Links", arXiv:cs/0011047) with vertices as both
-items and options.  Choosing c covers N(c) and removes from the candidates
-every u whose neighbourhood meets N(c); that set is `conflict[c]`, the OR
-of N(w) over w in N(c), and holds c itself.
+(`Graph.neighbor_masks`) and by its twin map (`graphs.twin_map`, kept as
+`Graph.twins`): each neighbourhood mask mapped to the bitmask of the
+vertices that have it.
 
-Each state (covered, chosen, candidates) first takes forced moves: an
-uncovered vertex with no candidate neighbour fails the state, one with a
-single candidate neighbour takes it.  The state then branches on its
-lowest candidate, "in the code" before "out of it".  Codes therefore come
-out in sorted-vertex-sequence order: both branches share every vertex
-below the branch vertex, and no two codes are nested, so the code holding
-it is the lexicographically smaller.
+A total perfect code C covers every vertex exactly once by the sets N(c),
+c in C, so the search is Knuth's Algorithm X for exact cover ("Dancing
+Links", arXiv:cs/0011047) with vertices as both items and options.
+Choosing c covers N(c) and removes from the candidates every u whose
+neighbourhood meets N(c); that set is `conflict[c]`, the OR of N(w) over w
+in N(c), and holds c itself.  Each state (covered, chosen, candidates)
+first takes forced moves: an uncovered vertex with no candidate neighbour
+fails the state, one with a single candidate neighbour takes it.  The
+state then branches on its lowest candidate, "in the code" before "out of
+it".  Codes therefore come out in sorted-vertex-sequence order: both
+branches share every vertex below the branch vertex, and no two codes are
+nested, so the code holding it is the lexicographically smaller.
 
-Twins, vertices with equal neighbourhoods, are never adjacent, and
-swapping two of them maps codes to codes.  So when the "in" branch on v
-yields no code, no code of the "out" branch holds a twin of v either, and
-that branch drops v's twins from its candidates.  Only empty subtrees are
-cut: the codes and their order do not change.  On Γ(R), where elements
-with equal annihilators are twins, this turns a refutation on Γ(Z3633)
-(1,568 vertices) from about 0.4 s into a few ms.
+Twins, vertices with equal neighbourhoods, are never adjacent.  A code
+holds at most one vertex of each twin class, since two would cover their
+common neighbours twice, and swapping a member for a twin maps codes to
+codes.  So the search runs in place on the representatives, the least
+vertex of each class, with their neighbourhoods cut to the representatives
+(`graphs.representatives`; a graph without twins keeps its masks), and
+each code it finds lifts to every choice of one member per chosen class
+(`lift`).  The least lift is the representative code itself, so the first
+representative code is the least code.  In Γ(R) the elements with one
+annihilator and a nonzero square are twins, so the search runs on about as
+many vertices as the compressed zero-divisor graph on annihilator classes
+has (Spiroff and Wickham, Comm. Algebra 39, 2011).
 """
 
 from __future__ import annotations
+
+import heapq
+from itertools import islice, product
+from math import prod
+
+from .graphs import bits, representatives, twin_map
 
 
 def _take(v: int, state: tuple[int, int, int], nb) -> tuple[int, int, int]:
@@ -62,56 +74,98 @@ def _propagate(state, nb, full):
             return state
 
 
-def cover_codes(masks, limit: int) -> list[frozenset[int]]:
-    """Total perfect codes of the graph with neighbourhood bitmasks `masks`,
-    in sorted-vertex-sequence order, up to `limit` of them."""
-    n = len(masks)
-    if not all(masks):
+def representative_codes(masks, limit: int, twins) -> list[tuple[int, ...]]:
+    """The total perfect codes made of twin-class representatives, in
+    sorted-vertex-sequence order, up to `limit` of them, on the graph with
+    neighbourhood bitmasks `masks` and twin map `twins`.  Each code is the
+    tuple of its members' twin classes (bitmasks), in ascending order of
+    their least vertices."""
+    if 0 in twins:
         return []  # an isolated vertex can never be covered
-    full = (1 << n) - 1
-    twins: dict[int, int] = {}  # neighbourhood mask -> the vertices that have it
-    for v, m in enumerate(masks):
-        twins[m] = twins.get(m, 0) | 1 << v
-    found: list[frozenset[int]] = []
-    # each entry: a state, and the twins it drops when `found` still has
-    # the length it had when the entry was pushed (its "in" sibling, popped
-    # first, found nothing)
-    stack = [((0, 0, full), 0, -1)]
+    reps, nb = representatives(masks, twins)
+    found: list[tuple[int, ...]] = []
+    stack = [(0, 0, reps)]
     while stack:
-        state, drop, mark = stack.pop()
-        if len(found) == mark:
-            state = (state[0], state[1], state[2] & ~drop)
-        state = _propagate(state, masks, full)
+        state = _propagate(stack.pop(), nb, reps)
         if state is None:
             continue
         covered, chosen, cand = state
-        if covered == full:
-            found.append(frozenset(v for v in range(n) if chosen >> v & 1))
+        if covered == reps:
+            found.append(tuple(twins[masks[v]] for v in bits(chosen)))
             if len(found) >= limit:
                 break
             continue
         low = cand & -cand
-        v = low.bit_length() - 1
-        stack.append(((covered, chosen, cand ^ low), twins[masks[v]], len(found)))
-        stack.append((_take(v, state, masks), 0, -1))
+        stack.append((covered, chosen, cand ^ low))
+        stack.append(_take(low.bit_length() - 1, state, nb))
     return found
 
 
-def pair_sweep(masks) -> tuple[int, int] | None:
+def lifted_count(codes) -> int:
+    """How many codes of the whole graph the representative `codes` lift to:
+    the product of the class sizes of each, summed."""
+    return sum(prod(c.bit_count() for c in code) for code in codes)
+
+
+def _lifts(classes):
+    """Every choice of one member from each of the disjoint `classes`
+    (bitmasks), as sorted tuples in ascending order: by the least member x,
+    then by the choices from the other classes cut to their members above x."""
+    if not classes:
+        yield ()
+        return
+    pool = 0
+    for c in classes:
+        pool |= c
+    for x in bits(pool):
+        rest = [c & -2 << x for c in classes if not c >> x & 1]
+        if not all(rest):
+            break  # a class lies wholly below x, so below every later x too
+        for tail in _lifts(rest):
+            yield (x, *tail)
+
+
+def lift(codes, limit: int) -> list[frozenset[int]]:
+    """The codes of the whole graph that the representative `codes` (in the
+    order `representative_codes` gives them) lift to, in
+    sorted-vertex-sequence order, up to `limit` of them.  All the lifts are
+    built and sorted unless there are more than `limit`; then a heap merge
+    of each code's lifts, each generated in order, builds only the first."""
+    if limit == 1 or (count := lifted_count(codes)) == len(codes):
+        # the least lift of a code is its representatives, and it is the
+        # only one when every class is a single vertex
+        return [frozenset((c & -c).bit_length() - 1 for c in code) for code in codes[:limit]]
+    if count <= limit:
+        picks = sorted(sorted(p) for code in codes for p in product(*map(bits, code)))
+    else:
+        picks = islice(heapq.merge(*map(_lifts, codes)), limit)
+    return [frozenset(p) for p in picks]
+
+
+def cover_codes(masks, limit: int, twins=None) -> list[frozenset[int]]:
+    """Total perfect codes of the graph with neighbourhood bitmasks `masks`,
+    in sorted-vertex-sequence order, up to `limit` of them; `twins` is
+    `twin_map(masks)`, built when not given."""
+    twins = twin_map(masks) if twins is None else twins
+    return lift(representative_codes(masks, limit, twins), limit)
+
+
+def pair_sweep(masks, twins=None) -> tuple[int, int] | None:
     """The first edge (x, y), x < y, in ascending order that is a total
-    perfect code of the graph with neighbourhood bitmasks `masks`, or None.
+    perfect code of the graph with neighbourhood bitmasks `masks`, or None;
+    `twins` is `twin_map(masks)`, built when not given.
 
     {x, y} is a code exactly when N(x) and N(y) partition the vertices,
     that is when N(y) is the complement of N(x); such x and y are adjacent,
     since neither lies in its own neighbourhood.  The first x with a partner
-    is the least vertex of any code pair, and its least partner completes
-    the first code edge."""
+    is the least vertex of any code pair, so the least vertex of its class,
+    and its least partner, the least vertex of the class with the
+    complementary mask, completes the first code edge.  The twin map lists
+    its classes in ascending order of their least vertices."""
     full = (1 << len(masks)) - 1
-    least: dict[int, int] = {}  # neighbourhood mask -> least vertex with it
-    for v, m in enumerate(masks):
-        least.setdefault(m, v)
-    for x, m in enumerate(masks):
-        y = least.get(full ^ m)
-        if y is not None:
-            return x, y
+    twins = twin_map(masks) if twins is None else twins
+    for m, cls in twins.items():
+        partners = twins.get(full ^ m)
+        if partners:
+            return (cls & -cls).bit_length() - 1, (partners & -partners).bit_length() - 1
     return None

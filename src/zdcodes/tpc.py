@@ -131,7 +131,7 @@ def is_total_perfect_code(g: Graph, code) -> bool:
 def find_tpc(g: Graph) -> frozenset[int] | None:
     """Lexicographically least total perfect code under sorted-vertex order,
     or None."""
-    hits = kernels.cover_codes(g.neighbor_masks, limit=1)
+    hits = kernels.cover_codes(g.neighbor_masks, 1, g.twins)
     return hits[0] if hits else None
 
 
@@ -141,11 +141,12 @@ MAX_CODES = 65536
 
 def enumerate_tpcs(g: Graph) -> list[frozenset[int]]:
     """Every total perfect code, lexicographically ordered; a RuntimeError
-    when there are more than MAX_CODES of them."""
-    hits = kernels.cover_codes(g.neighbor_masks, limit=MAX_CODES + 1)
-    if len(hits) > MAX_CODES:
+    when there are more than MAX_CODES of them, raised from their count
+    before any is built."""
+    codes = kernels.representative_codes(g.neighbor_masks, MAX_CODES + 1, g.twins)
+    if kernels.lifted_count(codes) > MAX_CODES:
         raise RuntimeError(f"more than {MAX_CODES} total perfect codes; use find_tpc")
-    return hits
+    return kernels.lift(codes, MAX_CODES)
 
 
 # -- tree dynamic program ----------------------------------------------------

@@ -51,7 +51,7 @@ class ZdGraph:
     @cached_property
     def code_pair(self) -> tuple[int, int] | None:
         """The first edge, in edge order, that is a total perfect code."""
-        return kernels.pair_sweep(self.graph.neighbor_masks)
+        return kernels.pair_sweep(self.graph.neighbor_masks, self.graph.twins)
 
     @cached_property
     def codes(self) -> list[frozenset[int]]:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_solver import gnp_graphs
+from test_solver import gnp_graphs, twin_blowups
 from test_tpc import shaped_graphs
-from zdcodes import graphs
+from zdcodes import graphs, suites
 from zdcodes.graphs import (
     Graph,
     GraphError,
@@ -24,7 +24,7 @@ from zdcodes.graphs import (
     make_path,
     make_star,
 )
-from zdcodes.rings import make_zn
+from zdcodes.rings import make_product, make_zn
 from zdcodes.trees import prufer_to_tree
 from zdcodes.zdg import zero_divisor_graph
 
@@ -330,3 +330,38 @@ def test_metrics_match_networkx_on_zero_divisor_graphs():
     for n in range(2, 201):
         g = zero_divisor_graph(make_zn(n)).graph
         assert _ours(g) == _nx_reference(g), f"Gamma(Z{n})"
+
+
+# -- the diameter as it stood before it moved to twin-class representatives --
+
+
+def _per_neighbourhood_diameter(g: Graph):
+    """One breadth-first search over every vertex from each distinct
+    neighbourhood; kept as the reference for the search on representatives."""
+    masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    best = 0
+    for v in dict(zip(masks, range(g.n))).values():
+        seen = 0
+        for depth, layer in enumerate(graphs._layers(masks, 1 << v)):
+            seen |= layer
+        if seen != full:
+            return math.inf
+        best = max(best, depth)
+    return best
+
+
+def test_diameter_matches_reference_on_zero_divisor_graphs():
+    for n in range(2, 301):
+        g = zero_divisor_graph(make_zn(n)).graph
+        assert diameter(g) == _per_neighbourhood_diameter(g), f"Gamma(Z{n})"
+    lpool, fpool = suites._mixed_pools()
+    for lc, fc in suites._mixed_instances(128):
+        g = zero_divisor_graph(make_product([lpool[i] for i in lc] + [fpool[i] for i in fc])).graph
+        assert diameter(g) == _per_neighbourhood_diameter(g), g.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_blowups(max_base=8))
+def test_diameter_matches_reference_on_twin_blowups(g):
+    assert diameter(g) == _per_neighbourhood_diameter(g)

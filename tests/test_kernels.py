@@ -1,10 +1,15 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zdcodes import config, kernels
+from test_solver import gnp_graphs, twin_blowups
+from zdcodes import config, kernels, suites
 from zdcodes.graphs import make_complete_bipartite, make_cycle, make_path
-from zdcodes.tpc import find_tpc
+from zdcodes.rings import make_product, make_zn
+from zdcodes.tpc import MAX_CODES, find_tpc
+from zdcodes.zdg import zero_divisor_graph
 
 
 def test_stale_backend_variable_is_ignored(monkeypatch):
@@ -82,3 +87,112 @@ def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
 def test_env_vars_document_exactly_the_settings():
     names = {config.ENV_PREFIX + f.name.upper() for f in dataclasses.fields(config.Settings)}
     assert set(config.ENV_VARS) == names
+
+
+# -- the twin-pruned search the representative search replaced ---------------
+
+
+def _pruned_take(v, state, nb):
+    covered, chosen, cand = state
+    conflict = 0
+    m = nb[v]
+    while m:
+        low = m & -m
+        conflict |= nb[low.bit_length() - 1]
+        m ^= low
+    return covered | nb[v], chosen | 1 << v, cand & ~conflict
+
+
+def _pruned_propagate(state, nb, full):
+    while True:
+        forced = False
+        rest = full & ~state[0]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if state[0] & low:
+                continue
+            options = nb[low.bit_length() - 1] & state[2]
+            if not options:
+                return None
+            if not options & (options - 1):
+                state = _pruned_take(options.bit_length() - 1, state, nb)
+                forced = True
+        if not forced:
+            return state
+
+
+def _twin_pruned_cover_codes(masks, limit):
+    """Algorithm X on every vertex, branching on the lowest candidate, "in"
+    before "out"; when the "in" branch on v finds no code, the "out" branch
+    drops v's twins from its candidates.  Kept as it stood before the search
+    moved to twin-class representatives, as the reference for it."""
+    n = len(masks)
+    if not all(masks):
+        return []
+    full = (1 << n) - 1
+    twins: dict[int, int] = {}
+    for v, m in enumerate(masks):
+        twins[m] = twins.get(m, 0) | 1 << v
+    found = []
+    stack = [((0, 0, full), 0, -1)]
+    while stack:
+        state, drop, mark = stack.pop()
+        if len(found) == mark:
+            state = (state[0], state[1], state[2] & ~drop)
+        state = _pruned_propagate(state, masks, full)
+        if state is None:
+            continue
+        covered, chosen, cand = state
+        if covered == full:
+            found.append(frozenset(v for v in range(n) if chosen >> v & 1))
+            if len(found) >= limit:
+                break
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append(((covered, chosen, cand ^ low), twins[masks[v]], len(found)))
+        stack.append((_pruned_take(v, state, masks), 0, -1))
+    return found
+
+
+LIMITS = (1, 2, 3, 7, MAX_CODES + 1)
+
+
+def _assert_matches_reference(masks):
+    for limit in LIMITS:
+        assert kernels.cover_codes(masks, limit) == _twin_pruned_cover_codes(masks, limit), limit
+
+
+def test_representative_search_matches_reference_on_gamma_zn():
+    for n in range(2, 301):
+        _assert_matches_reference(zero_divisor_graph(make_zn(n)).graph.neighbor_masks)
+
+
+def test_representative_search_matches_reference_on_mixed_products():
+    lpool, fpool = suites._mixed_pools()
+    instances = list(suites._mixed_instances(128))
+    assert instances
+    for lc, fc in instances:
+        ring = make_product([lpool[i] for i in lc] + [fpool[i] for i in fc])
+        _assert_matches_reference(zero_divisor_graph(ring).graph.neighbor_masks)
+
+
+#: G(n, p), or C8 or C12 with their four codes each, blown up
+#: so that the lifts of distinct representative codes interleave
+BLOWUPS = twin_blowups(bases=st.one_of(gnp_graphs(max_n=6), st.sampled_from([make_cycle(8), make_cycle(12)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(BLOWUPS)
+def test_representative_search_matches_reference_on_twin_blowups(g):
+    _assert_matches_reference(g.neighbor_masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(BLOWUPS, st.data())
+def test_a_limit_is_a_prefix_of_every_code(g, data):
+    # a limit below the lifted count takes the heap merge
+    everything = kernels.cover_codes(g.neighbor_masks, MAX_CODES + 1)
+    k = data.draw(st.integers(1, len(everything) + 1))
+    assert kernels.cover_codes(g.neighbor_masks, k) == everything[:k]

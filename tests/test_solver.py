@@ -66,12 +66,22 @@ def test_gamma_z4096_witness_is_the_least_edge():
     assert is_total_perfect_code(g, code)
 
 
+def test_gamma_z4096_enumerates_its_1024_pairs():
+    g = zero_divisor_graph(make_zn(4096)).graph
+    t0 = time.perf_counter()
+    codes = enumerate_tpcs(g)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(codes) == 1024 and codes[0] == find_tpc(g)
+    assert all(len(c) == 2 and is_total_perfect_code(g, c) for c in codes)
+
+
 @st.composite
-def twin_blowups(draw, max_base=4):
-    """A small G(n, p) with every vertex replaced by 1-4 twins: copies of v
-    are pairwise non-adjacent and each is joined to every copy of each
-    neighbour of v, so all copies share one neighbourhood."""
-    base = draw(gnp_graphs(max_n=max_base))
+def twin_blowups(draw, max_base=4, bases=None):
+    """A small G(n, p), or a graph drawn from `bases`, with every vertex
+    replaced by 1-4 twins: copies of v are pairwise non-adjacent and each is
+    joined to every copy of each neighbour of v, so all copies share one
+    neighbourhood."""
+    base = draw(gnp_graphs(max_n=max_base) if bases is None else bases)
     sizes = draw(st.lists(st.integers(1, 4), min_size=base.n, max_size=base.n))
     starts = [sum(sizes[:v]) for v in range(base.n)]
     copies = [range(s, s + k) for s, k in zip(starts, sizes)]

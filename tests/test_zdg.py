@@ -1,11 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdcodes import tables, zdg
+from zdcodes import suites, tables, zdg
 from zdcodes.graphs import Graph, LazyLabels, bits, diameter
 from zdcodes.ringexpr import ring_from_text
 from zdcodes.rings import RingError, make_gf, make_product, make_quotient, make_zn
@@ -115,18 +116,20 @@ def test_graph_answers_are_computed_once(monkeypatch):
         real = getattr(kernels, name)
         return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-    for name in ("pair_sweep", "cover_codes"):
+    # every exact search, for one code or for all of them, is one
+    # representative search
+    for name in ("pair_sweep", "representative_codes"):
         monkeypatch.setattr(kernels, name, counting(name))
     z = zero_divisor_graph(make_zn(16))
     assert tpc_pair_solver(z) == tpc_pair_solver(z) == {2, 8}
     assert zdg.ring_code_exact(z) == zdg.ring_code_exact(z) == {2, 8}
-    assert calls == ["pair_sweep", "cover_codes"]
+    assert calls == ["pair_sweep", "representative_codes"]
     # once the codes are enumerated, the least code is the first of them
     calls.clear()
     z = zero_divisor_graph(make_zn(16))
     assert len(z.codes) == 4 and z.least_code == z.codes[0]
     assert z.to_elements(z.least_code) == {2, 8}
-    assert calls == ["cover_codes"]
+    assert calls == ["representative_codes"]
     # the local catalog builds and enumerates each graph once and searches
     # it no more
     calls.clear()
@@ -134,7 +137,7 @@ def test_graph_answers_are_computed_once(monkeypatch):
     monkeypatch.setattr(zdg, "zero_divisor_graph", lambda r: calls.append("graph") or real(r))
     rep = suites.suite_local_catalog()
     assert rep.exit_code() == 0
-    assert calls.count("cover_codes") == rep.instances == len(suites.local_catalog())
+    assert calls.count("representative_codes") == rep.instances == len(suites.local_catalog())
     assert calls.count("graph") == rep.instances
 
 
@@ -422,6 +425,14 @@ def test_decide_ring_z2_to_z300_has_no_discrepancy():
             shaped += 1
             assert d.witness is None or zdg.is_code_pair(ring, *d.witness), (n, d)
     assert shaped > 0
+
+
+def test_zn_sweep_to_1000_is_clean():
+    # every instance runs the pair sweep, the full enumeration and the diameter
+    t0 = time.perf_counter()
+    rep = suites.suite_zn_sweep(4, 1000)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep.instances == 997 and rep.discrepancies == []
 
 
 def test_decide_ring_routes():
