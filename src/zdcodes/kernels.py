@@ -34,11 +34,10 @@ has (Spiroff and Wickham, Comm. Algebra 39, 2011).
 
 from __future__ import annotations
 
-import heapq
-from itertools import islice, product
+from itertools import product
 from math import prod
 
-from .graphs import bits, representatives, twin_map
+from .graphs import bits, representatives
 
 
 def _take(v: int, state: tuple[int, int, int], nb) -> tuple[int, int, int]:
@@ -74,16 +73,14 @@ def _propagate(state, nb, full):
             return state
 
 
-def representative_codes(masks, limit: int, twins) -> list[tuple[int, ...]]:
-    """The total perfect codes made of twin-class representatives, in
-    sorted-vertex-sequence order, up to `limit` of them, on the graph with
-    neighbourhood bitmasks `masks` and twin map `twins`.  Each code is the
-    tuple of its members' twin classes (bitmasks), in ascending order of
-    their least vertices."""
+def representative_codes(masks, limit: int, twins) -> list[int]:
+    """The total perfect codes made of twin-class representatives, as
+    bitmasks in sorted-vertex-sequence order, up to `limit` of them, on the
+    graph with neighbourhood bitmasks `masks` and twin map `twins`."""
     if 0 in twins:
         return []  # an isolated vertex can never be covered
     reps, nb = representatives(masks, twins)
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
     stack = [(0, 0, reps)]
     while stack:
         state = _propagate(stack.pop(), nb, reps)
@@ -91,7 +88,7 @@ def representative_codes(masks, limit: int, twins) -> list[tuple[int, ...]]:
             continue
         covered, chosen, cand = state
         if covered == reps:
-            found.append(tuple(twins[masks[v]] for v in bits(chosen)))
+            found.append(chosen)
             if len(found) >= limit:
                 break
             continue
@@ -101,59 +98,41 @@ def representative_codes(masks, limit: int, twins) -> list[tuple[int, ...]]:
     return found
 
 
-def lifted_count(codes) -> int:
+def lifted_count(codes, masks, twins) -> int:
     """How many codes of the whole graph the representative `codes` lift to:
-    the product of the class sizes of each, summed."""
-    return sum(prod(c.bit_count() for c in code) for code in codes)
+    the product of the sizes of each code's classes, summed."""
+    return sum(prod(twins[masks[v]].bit_count() for v in bits(code)) for code in codes)
 
 
-def _lifts(classes):
-    """Every choice of one member from each of the disjoint `classes`
-    (bitmasks), as sorted tuples in ascending order: by the least member x,
-    then by the choices from the other classes cut to their members above x."""
-    if not classes:
-        yield ()
-        return
-    pool = 0
-    for c in classes:
-        pool |= c
-    for x in bits(pool):
-        rest = [c & -2 << x for c in classes if not c >> x & 1]
-        if not all(rest):
-            break  # a class lies wholly below x, so below every later x too
-        for tail in _lifts(rest):
-            yield (x, *tail)
+def lift(codes, masks, twins, limit: int) -> list[frozenset[int]]:
+    """The first `limit` codes of the whole graph, in sorted-vertex-sequence
+    order, that the representative `codes` lift to, when `codes` are the
+    first `limit` representative codes in order.
+
+    Each lift replaces every member by a twin of it, so it is no less than
+    its representative code, and the first `limit` lifts are all lifts of
+    the first `limit` representative codes.  Those are all built and sorted.
+    The least lift of a code is the code itself, and without twins it is
+    the only one."""
+    if limit == 1 or len(twins) == len(masks):
+        return [frozenset(bits(code)) for code in codes]
+    picks = sorted(
+        sorted(p) for code in codes for p in product(*(bits(twins[masks[v]]) for v in bits(code)))
+    )
+    return [frozenset(p) for p in picks[:limit]]
 
 
-def lift(codes, limit: int) -> list[frozenset[int]]:
-    """The codes of the whole graph that the representative `codes` (in the
-    order `representative_codes` gives them) lift to, in
-    sorted-vertex-sequence order, up to `limit` of them.  All the lifts are
-    built and sorted unless there are more than `limit`; then a heap merge
-    of each code's lifts, each generated in order, builds only the first."""
-    if limit == 1 or (count := lifted_count(codes)) == len(codes):
-        # the least lift of a code is its representatives, and it is the
-        # only one when every class is a single vertex
-        return [frozenset((c & -c).bit_length() - 1 for c in code) for code in codes[:limit]]
-    if count <= limit:
-        picks = sorted(sorted(p) for code in codes for p in product(*map(bits, code)))
-    else:
-        picks = islice(heapq.merge(*map(_lifts, codes)), limit)
-    return [frozenset(p) for p in picks]
+def cover_codes(masks, limit: int, twins) -> list[frozenset[int]]:
+    """Total perfect codes of the graph with neighbourhood bitmasks `masks`
+    and twin map `twins`, in sorted-vertex-sequence order, up to `limit` of
+    them."""
+    return lift(representative_codes(masks, limit, twins), masks, twins, limit)
 
 
-def cover_codes(masks, limit: int, twins=None) -> list[frozenset[int]]:
-    """Total perfect codes of the graph with neighbourhood bitmasks `masks`,
-    in sorted-vertex-sequence order, up to `limit` of them; `twins` is
-    `twin_map(masks)`, built when not given."""
-    twins = twin_map(masks) if twins is None else twins
-    return lift(representative_codes(masks, limit, twins), limit)
-
-
-def pair_sweep(masks, twins=None) -> tuple[int, int] | None:
+def pair_sweep(masks, twins) -> tuple[int, int] | None:
     """The first edge (x, y), x < y, in ascending order that is a total
-    perfect code of the graph with neighbourhood bitmasks `masks`, or None;
-    `twins` is `twin_map(masks)`, built when not given.
+    perfect code of the graph with neighbourhood bitmasks `masks` and twin
+    map `twins`, or None.
 
     {x, y} is a code exactly when N(x) and N(y) partition the vertices,
     that is when N(y) is the complement of N(x); such x and y are adjacent,
@@ -163,7 +142,6 @@ def pair_sweep(masks, twins=None) -> tuple[int, int] | None:
     complementary mask, completes the first code edge.  The twin map lists
     its classes in ascending order of their least vertices."""
     full = (1 << len(masks)) - 1
-    twins = twin_map(masks) if twins is None else twins
     for m, cls in twins.items():
         partners = twins.get(full ^ m)
         if partners:

@@ -143,10 +143,11 @@ def enumerate_tpcs(g: Graph) -> list[frozenset[int]]:
     """Every total perfect code, lexicographically ordered; a RuntimeError
     when there are more than MAX_CODES of them, raised from their count
     before any is built."""
-    codes = kernels.representative_codes(g.neighbor_masks, MAX_CODES + 1, g.twins)
-    if kernels.lifted_count(codes) > MAX_CODES:
+    masks, twins = g.neighbor_masks, g.twins
+    codes = kernels.representative_codes(masks, MAX_CODES + 1, twins)
+    if kernels.lifted_count(codes, masks, twins) > MAX_CODES:
         raise RuntimeError(f"more than {MAX_CODES} total perfect codes; use find_tpc")
-    return kernels.lift(codes, MAX_CODES)
+    return kernels.lift(codes, masks, twins, MAX_CODES)
 
 
 # -- tree dynamic program ----------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from test_solver import gnp_graphs, twin_blowups
 from zdcodes import config, kernels, suites
-from zdcodes.graphs import make_complete_bipartite, make_cycle, make_path
+from zdcodes.graphs import make_complete_bipartite, make_cycle, make_path, twin_map
 from zdcodes.rings import make_product, make_zn
 from zdcodes.tpc import MAX_CODES, find_tpc
 from zdcodes.zdg import zero_divisor_graph
@@ -21,32 +21,34 @@ def test_stale_backend_variable_is_ignored(monkeypatch):
 
 
 def test_search_empty_and_isolated():
-    assert kernels.cover_codes([], limit=4) == [frozenset()]
-    assert kernels.cover_codes([0, 0], limit=4) == []
-    assert kernels.cover_codes([0b10, 0b01, 0], limit=1) == []  # vertex 2 is isolated
+    assert kernels.cover_codes([], 4, twin_map([])) == [frozenset()]
+    assert kernels.cover_codes([0, 0], 4, twin_map([0, 0])) == []
+    masks = [0b10, 0b01, 0]
+    assert kernels.cover_codes(masks, 1, twin_map(masks)) == []  # vertex 2 is isolated
 
 
 def test_search_collects_in_lex_order():
     g = make_cycle(8)
-    hits = kernels.cover_codes(g.neighbor_masks, limit=100)
+    hits = kernels.cover_codes(g.neighbor_masks, 100, g.twins)
     assert hits == sorted(hits, key=sorted)
     assert len(hits) == 4  # the four rotations of the paired pattern
 
 
 def test_search_limit_short_circuits():
     g = make_complete_bipartite(4, 4)
-    hits = kernels.cover_codes(g.neighbor_masks, limit=3)
+    hits = kernels.cover_codes(g.neighbor_masks, 3, g.twins)
     assert len(hits) == 3
-    everything = kernels.cover_codes(g.neighbor_masks, limit=100)
+    everything = kernels.cover_codes(g.neighbor_masks, 100, g.twins)
     assert hits == everything[:3]
-    assert kernels.cover_codes(g.neighbor_masks, limit=1) == everything[:1]
+    assert kernels.cover_codes(g.neighbor_masks, 1, g.twins) == everything[:1]
 
 
 def test_pair_sweep_matches_definition():
     g = make_path(4)
-    assert kernels.pair_sweep(g.neighbor_masks) == (1, 2)
-    assert kernels.pair_sweep(make_path(5).neighbor_masks) is None
-    assert kernels.pair_sweep([]) is None
+    assert kernels.pair_sweep(g.neighbor_masks, g.twins) == (1, 2)
+    g = make_path(5)
+    assert kernels.pair_sweep(g.neighbor_masks, g.twins) is None
+    assert kernels.pair_sweep([], twin_map([])) is None
 
 
 def test_config_env_and_file(monkeypatch, tmp_path):
@@ -160,8 +162,9 @@ LIMITS = (1, 2, 3, 7, MAX_CODES + 1)
 
 
 def _assert_matches_reference(masks):
+    twins = twin_map(masks)
     for limit in LIMITS:
-        assert kernels.cover_codes(masks, limit) == _twin_pruned_cover_codes(masks, limit), limit
+        assert kernels.cover_codes(masks, limit, twins) == _twin_pruned_cover_codes(masks, limit), limit
 
 
 def test_representative_search_matches_reference_on_gamma_zn():
@@ -192,7 +195,8 @@ def test_representative_search_matches_reference_on_twin_blowups(g):
 @settings(max_examples=150, deadline=None)
 @given(BLOWUPS, st.data())
 def test_a_limit_is_a_prefix_of_every_code(g, data):
-    # a limit below the lifted count takes the heap merge
-    everything = kernels.cover_codes(g.neighbor_masks, MAX_CODES + 1)
+    # a limit below the lifted count cuts the sorted lifts of the first
+    # representative codes
+    everything = kernels.cover_codes(g.neighbor_masks, MAX_CODES + 1, g.twins)
     k = data.draw(st.integers(1, len(everything) + 1))
-    assert kernels.cover_codes(g.neighbor_masks, k) == everything[:k]
+    assert kernels.cover_codes(g.neighbor_masks, k, g.twins) == everything[:k]

@@ -37,7 +37,7 @@ def _check_against_brute(g: Graph):
     assert enumerate_tpcs(g) == oracle
     assert find_tpc(g) == (oracle[0] if oracle else None)
     codes_on_edges = [e for e in g.edges if frozenset(e) in oracle]
-    assert kernels.pair_sweep(g.neighbor_masks) == (codes_on_edges[0] if codes_on_edges else None)
+    assert kernels.pair_sweep(g.neighbor_masks, g.twins) == (codes_on_edges[0] if codes_on_edges else None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -62,7 +62,7 @@ def test_gamma_z4096_witness_is_the_least_edge():
     g = zero_divisor_graph(make_zn(4096)).graph
     assert g.n == 2047
     code = find_tpc(g)
-    assert code == frozenset(kernels.pair_sweep(g.neighbor_masks))
+    assert code == frozenset(kernels.pair_sweep(g.neighbor_masks, g.twins))
     assert is_total_perfect_code(g, code)
 
 
