@@ -8,7 +8,6 @@ edge-pair sweep for zero-divisor graphs, and an unrestricted exact search -
 which the verification suites play against each other instance by instance.
 """
 
-from .config import Settings
 from .graphs import Graph, corona, diameter, articulation_points, is_matching
 from .graphs import (
     fixture_graph8,
@@ -27,7 +26,7 @@ from .rings import (
     make_zn,
     validate_ring,
 )
-from .ringexpr import ParseError, ResolveError, parse_ring, render, resolve, ring_from_text
+from .ringexpr import ParseError, ResolveError, ring_from_text
 from .tables import TableRingSpec, catalog_ring, make_table_ring
 from .tpc import (
     Verdict,
@@ -60,7 +59,6 @@ from .zdg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Settings",
     "Graph",
     "corona",
     "diameter",
@@ -81,9 +79,6 @@ __all__ = [
     "validate_ring",
     "ParseError",
     "ResolveError",
-    "parse_ring",
-    "render",
-    "resolve",
     "ring_from_text",
     "TableRingSpec",
     "catalog_ring",

@@ -44,14 +44,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = config.Settings()
-        if args.config:
-            settings = settings.merged_with_file(args.config)
-        settings = settings.merged_with_env()
+        cap = config.read(args.config)
     except (OSError, ValueError) as exc:
         print(f"error: bad settings: {exc}", file=sys.stderr)
         return 1
-    config.set_override(settings)  # read once per call; cleared on return
+    config.set_override(cap)  # read once per call; cleared on return
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # parse, ring and precondition errors included
@@ -209,7 +206,7 @@ def _parse_graph_target(target: str) -> graphs.Graph | None:
                 raise ValueError("expected kmn:m,n")
             return graphs.make_complete_bipartite(*map(int, sizes))
         if head == "corona" and rest.startswith("path:"):
-            return trees.corona(graphs.make_path(int(rest.split(":")[1])), graphs.make_complete(1))
+            return graphs.corona(graphs.make_path(int(rest.split(":")[1])), graphs.make_complete(1))
         if head == "file":
             with open(rest, "r", encoding="utf-8") as fh:
                 return graphs.from_json(fh.read(), name=rest)

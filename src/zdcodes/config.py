@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
 
-ENV_PREFIX = "ZDCODES_"
+DEFAULT_RING_CAP = 4096
 
 #: which variables the CLI documents in --help
 ENV_VARS = {
-    "ZDCODES_RING_CAP": "maximum ring order accepted by constructors (default 4096)",
+    "ZDCODES_RING_CAP": f"maximum ring order accepted by constructors (default {DEFAULT_RING_CAP})",
 }
 
 
@@ -35,20 +34,11 @@ def _cap(raw, source: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Settings:
-    ring_cap: int = 4096
-
-    def merged_with_env(self) -> "Settings":
-        out = self
-        for f in fields(self):
-            var = ENV_PREFIX + f.name.upper()
-            raw = os.environ.get(var)
-            if raw is not None:
-                out = replace(out, **{f.name: _cap(raw, var)})
-        return out
-
-    def merged_with_file(self, path: str) -> "Settings":
+def read(path: str | None = None) -> int:
+    """The ring cap: the default, overridden by the `ring_cap` key of the
+    JSON config file at `path`, overridden by ZDCODES_RING_CAP."""
+    cap = DEFAULT_RING_CAP
+    if path:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -56,28 +46,23 @@ class Settings:
                 raise ValueError(f"config file {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file {path}: expected a JSON object")
-        out = self
-        for f in fields(self):
-            if f.name in data:
-                value = _cap(data[f.name], f"config file {path}: key {f.name!r}")
-                out = replace(out, **{f.name: value})
-        return out
+        if "ring_cap" in data:
+            cap = _cap(data["ring_cap"], f"config file {path}: key 'ring_cap'")
+    raw = os.environ.get("ZDCODES_RING_CAP")
+    return cap if raw is None else _cap(raw, "ZDCODES_RING_CAP")
 
 
-_override: Settings | None = None
+_override: int | None = None
 
 
-def set_override(settings: Settings | None) -> None:
-    """Install process-local settings; None clears.  The CLI installs the
-    defaults merged with its --config file and the environment, once per
-    call."""
+def set_override(cap: int | None) -> None:
+    """Install a process-local ring cap; None clears.  The CLI installs
+    `read(--config)` once per call."""
     global _override
-    _override = settings
+    _override = cap
 
 
-def current() -> Settings:
-    """Active settings: the process-local override when one is installed,
-    otherwise defaults with environment overrides applied at call time."""
-    if _override is not None:
-        return _override
-    return Settings().merged_with_env()
+def current() -> int:
+    """The active ring cap: the process-local override when one is
+    installed, otherwise `read()` at call time."""
+    return read() if _override is None else _override

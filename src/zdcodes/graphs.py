@@ -417,10 +417,10 @@ def to_json(g: Graph) -> str:
 
 
 def from_json_obj(obj: dict, name: str = "G") -> Graph:
-    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int:  # a bool is no vertex count
         raise GraphError("a graph must be a JSON object with an integer 'n'")
     edges, labels = obj.get("edges"), obj.get("labels")
-    pair = lambda e: isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
+    pair = lambda e: isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
     if not isinstance(edges, list) or not all(pair(e) for e in edges):
         raise GraphError(f"'edges' must be a list of [a, b] integer pairs, got {edges!r}")
     if labels is not None:

@@ -1,4 +1,4 @@
-"""Ring-expression parser: text to construction plan to ring.
+"""Ring-expression parser: text to ring.
 
 Grammar (whitespace insignificant, products associate left and keep the
 flat factor list in order):
@@ -13,27 +13,20 @@ flat factor list in order):
     poly := term ("+" term)*
     term := int | int "*"? "x" ("^" int)? | "x" ("^" int)?
 
-"F4" is a field and becomes GF(2,2); "Z4" never is - the two families are
-kept apart.  Catalog names are matched case-insensitively against the slugs
-in `tables.CATALOG_FILES`.  A field or quotient atom above the ring cap is
-a ParseError, raised before factoring q or storing a coefficient per power.
+The whole text is parsed before any ring is built, so a syntax error wins
+over a ring error in an earlier atom.  Each atom parses to the constructor
+call that builds it, (span, constructor, args); a constructor's failure is
+a ResolveError naming the atom's span.  "F4" is a field and becomes
+GF(2,2); "Z4" never is - the two families are kept apart.  Catalog names
+are matched case-insensitively against the slugs in `tables.CATALOG_FILES`.
+A field or quotient atom above the ring cap is a ParseError, raised before
+factoring q or storing a coefficient per power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import config, tables
-from .rings import (
-    FiniteRing,
-    RingError,
-    factorize,
-    make_gf,
-    make_product,
-    make_quotient,
-    make_zn,
-    poly_name,
-)
+from .rings import FiniteRing, RingError, factorize, make_gf, make_product, make_quotient, make_zn
 
 Span = tuple[int, int]
 
@@ -54,45 +47,6 @@ class ResolveError(ValueError):
         )
         super().__init__(message + where)
 
-
-@dataclass(frozen=True)
-class ZnExpr:
-    n: int
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class GFExpr:
-    p: int
-    k: int
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class QuotientExpr:
-    m: int
-    coeffs: tuple[int, ...]  # constant term first, leading coefficient last
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class TableRefExpr:
-    ref: str
-    is_path: bool
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class ProductExpr:
-    children: tuple
-    span: Span = field(compare=False, default=(0, 0))
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("a product node needs at least two children")
-
-
-RingExpr = ZnExpr | GFExpr | QuotientExpr | TableRefExpr | ProductExpr
 
 _NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_")
 
@@ -125,19 +79,15 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start : self.i])
 
-    def expr(self):
+    def expr(self) -> list:
         atoms = [self.atom()]
         while True:
             self.skip_ws()
-            c = self.peek()
-            if c in ("x", "×", "*"):
+            if self.peek() in ("x", "×", "*"):
                 self.i += 1
                 atoms.append(self.atom())
             else:
-                break
-        if len(atoms) == 1:
-            return atoms[0]
-        return ProductExpr(tuple(atoms), (atoms[0].span[0], atoms[-1].span[1]))
+                return atoms
 
     def atom(self):
         self.skip_ws()
@@ -150,13 +100,13 @@ class _Parser:
             self.skip_ws()
             if self.peek() == "[":
                 coeffs = self.quotient_tail(n, start)
-                return QuotientExpr(n, coeffs, (start, self.i))
+                return (start, self.i), make_quotient, (n, coeffs)
             self.i = save
-            return ZnExpr(n, (start, self.i))
+            return (start, self.i), make_zn, (n,)
         if c in ("F", "f"):
             self.i += 1
             q = self.integer()
-            return GFExpr(*self.prime_power(q, start), span=(start, self.i))
+            return (start, self.i), make_gf, self.prime_power(q, start)
         if self.text[self.i : self.i + 2].upper() == "GF":
             self.i += 2
             self.skip_ws()
@@ -165,7 +115,7 @@ class _Parser:
             q = self.integer()
             self.skip_ws()
             self.take(")")
-            return GFExpr(*self.prime_power(q, start), span=(start, self.i))
+            return (start, self.i), make_gf, self.prime_power(q, start)
         if c == "@":
             self.i += 1
             name = self.name_run()
@@ -173,15 +123,15 @@ class _Parser:
                 tables._slug_lookup(name)
             except tables.TableRingError as exc:
                 raise ParseError(str(exc), start, self.text) from None
-            return TableRefExpr(name, False, (start, self.i))
+            return (start, self.i), tables.catalog_ring, (name,)
         if self.text.startswith("table:", self.i):
             self.i += len("table:")
             path = self.path_run()
-            return TableRefExpr(path, True, (start, self.i))
+            return (start, self.i), _table_file_ring, (path,)
         self.error("expected a ring atom (Zn, Fq, GF(q), Zn[x]/(f), @name or table:path)")
 
     def prime_power(self, q: int, start: int) -> tuple[int, int]:
-        cap = config.current().ring_cap
+        cap = config.current()
         if q > cap:  # refused before the trial division, which grows with q
             raise ParseError(f"ring order {q} exceeds the cap {cap}", start, self.text)
         fac = factorize(q)
@@ -239,7 +189,7 @@ class _Parser:
         top = max((e for e, c in acc.items() if c), default=0)
         if m < 2:
             raise ParseError("coefficient modulus must be at least 2", start, self.text)
-        cap = config.current().ring_cap
+        cap = config.current()
         if top > cap.bit_length() or m**top > cap:
             raise ParseError(f"ring order {m}^{top} exceeds the cap {cap}", start, self.text)
         return tuple(acc.get(e, 0) for e in range(top + 1))
@@ -275,50 +225,24 @@ class _Parser:
         return 1
 
 
-def parse_ring(text: str):
-    p = _Parser(text)
-    node = p.expr()
-    p.skip_ws()
-    if p.i != len(text):
-        p.error("unexpected trailing input")
-    return node
-
-
-def render(expr) -> str:
-    """Canonical text for an expression; reparsing yields an equal tree."""
-    if isinstance(expr, ZnExpr):
-        return f"Z{expr.n}"
-    if isinstance(expr, GFExpr):
-        return f"F{expr.p ** expr.k}"
-    if isinstance(expr, QuotientExpr):
-        return f"Z{expr.m}[x]/({poly_name(expr.coeffs)})"
-    if isinstance(expr, TableRefExpr):
-        return ("table:" if expr.is_path else "@") + expr.ref
-    if isinstance(expr, ProductExpr):
-        return " x ".join(render(c) for c in expr.children)
-    raise TypeError(f"not a ring expression: {expr!r}")
-
-
-def resolve(expr, source: str | None = None) -> FiniteRing:
-    try:
-        if isinstance(expr, ZnExpr):
-            return make_zn(expr.n)
-        if isinstance(expr, GFExpr):
-            return make_gf(expr.p, expr.k)
-        if isinstance(expr, QuotientExpr):
-            return make_quotient(expr.m, expr.coeffs)
-        if isinstance(expr, TableRefExpr):
-            if expr.is_path:
-                return tables.make_table_ring(tables.load_spec_file(expr.ref))
-            return tables.catalog_ring(expr.ref)
-        if isinstance(expr, ProductExpr):
-            return make_product([resolve(c, source) for c in expr.children])
-    except ResolveError:
-        raise
-    except (RingError, OSError, ValueError) as exc:
-        raise ResolveError(str(exc), expr.span, source) from exc
-    raise TypeError(f"not a ring expression: {expr!r}")
+def _table_file_ring(path: str) -> FiniteRing:
+    return tables.make_table_ring(tables.load_spec_file(path))
 
 
 def ring_from_text(text: str) -> FiniteRing:
-    return resolve(parse_ring(text), source=text)
+    p = _Parser(text)
+    atoms = p.expr()
+    p.skip_ws()
+    if p.i != len(text):
+        p.error("unexpected trailing input")
+    rings = [_build(text, span, make, args) for span, make, args in atoms]
+    if len(rings) == 1:
+        return rings[0]
+    return _build(text, (atoms[0][0][0], atoms[-1][0][1]), make_product, (rings,))
+
+
+def _build(text: str, span: Span, make, args) -> FiniteRing:
+    try:
+        return make(*args)
+    except (RingError, OSError, ValueError) as exc:
+        raise ResolveError(str(exc), span, text) from exc

@@ -264,7 +264,7 @@ class FiniteRing:
 
 
 def _check_cap(order: int) -> None:
-    cap = config.current().ring_cap
+    cap = config.current()
     if order > cap:
         raise RingError(f"ring order {order} exceeds the cap {cap}")
 

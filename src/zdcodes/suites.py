@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import config, tables, trees, zdg
-from .graphs import Graph, diameter, is_matching, make_cycle, make_path
+from .graphs import Graph, corona, diameter, is_matching, make_complete, make_cycle, make_path
 from .rings import make_gf, make_quotient, make_zn, zn_crt
 from .tpc import find_tpc, graph_routes, is_total_perfect_code, path_decider, tree_tpc
 
@@ -224,7 +224,7 @@ def suite_trees(
 
     for n in range(3, corona_max + 1):
         instance = f"corona:path:{n}"
-        g = trees.corona(make_path(n), trees.make_complete(1))
+        g = corona(make_path(n), make_complete(1))
         pendant = tree_tpc(g)
         base_admits = path_decider(n)
         if pendant is not None:
@@ -323,7 +323,7 @@ def _field_pool() -> list:
 @_timed
 def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
     rep = SuiteReport("reduced-products")
-    cap = config.current().ring_cap
+    cap = config.current()
     pool = _field_pool()
     for k in range(2, max_factors + 1):
         for combo in itertools.combinations_with_replacement(range(len(pool)), k):

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, replace
 from . import kernels
 from .graphs import Graph, GraphError, bits
 
-CodeSet = frozenset
-
 
 @dataclass(frozen=True)
 class DeciderResult:

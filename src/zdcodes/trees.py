@@ -122,7 +122,7 @@ class TreeBuildStep:
         if not isinstance(obj, dict) or "op" not in obj or "v" not in obj:
             raise ValueError(f"trace step {obj!r} is not an object with 'op' and 'v'")
         v, n, k = obj["v"], obj.get("n"), obj.get("k")
-        if not isinstance(v, int) or not all(x is None or isinstance(x, int) for x in (n, k)):
+        if type(v) is not int or not all(x is None or type(x) is int for x in (n, k)):
             raise ValueError(f"trace step {obj!r}: 'v', 'n' and 'k' must be integers")
         return TreeBuildStep(obj["op"], v, n, k)
 
@@ -139,7 +139,7 @@ class BuildTrace:
 
     @staticmethod
     def obj_steps(obj: dict) -> tuple[int, list[TreeBuildStep]]:
-        if not isinstance(obj, dict) or not isinstance(obj.get("initial"), int):
+        if not isinstance(obj, dict) or type(obj.get("initial")) is not int:
             raise ValueError("a build trace must be a JSON object with an integer 'initial'")
         steps = obj.get("steps", [])
         if not isinstance(steps, list):

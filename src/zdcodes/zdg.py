@@ -517,7 +517,7 @@ def count_zero_divisors(factors) -> tuple[int, CountReport]:
     closed = order - units - 1
 
     enumerated = None
-    if order <= config.current().ring_cap:
+    if order <= config.current():
         # a brute-force scan: a product's own Z* is the unit complement, the
         # very identity the closed form rests on
         enumerated = len(make_product(factors).scan_zero_divisors())

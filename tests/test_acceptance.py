@@ -13,6 +13,8 @@ flag, and every other stated count to hold.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,10 @@ from zdcodes.tpc import (
 )
 from zdcodes.trees import random_family_T, random_tree
 from zdcodes.zdg import mixed_decider, tpc_pair_solver, zero_divisor_graph
+
+
+#: `zdcodes verify all --json --jobs 1` at the default bounds, without wall_time_s
+VERIFY_ALL = Path(__file__).parent / "data" / "verify" / "all.json"
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +272,10 @@ def test_c11_known_findings_manifest(reports):
     counting_ids = {e["id"] for e in manifest["counting"]}
     assert observed & decider_ids == decider_ids
     assert observed <= decider_ids | counting_ids
+
+
+def test_reports_match_the_pinned_verify_all(reports):
+    objs = [reports[name].to_obj() for name in sorted(reports)]
+    for obj in objs:
+        del obj["wall_time_s"]
+    assert json.loads(json.dumps(objs)) == json.loads(VERIFY_ALL.read_text())

@@ -353,18 +353,18 @@ def test_settings_are_read_once_per_call(capsys, monkeypatch):
     from zdcodes import config
 
     reads = []
-    real = config.Settings.merged_with_env
+    real = config.read
 
-    def counting(self):
-        reads.append(1)
-        return real(self)
+    def counting(path=None):
+        reads.append(path)
+        return real(path)
 
-    monkeypatch.setattr(config.Settings, "merged_with_env", counting)
+    monkeypatch.setattr(config, "read", counting)
     monkeypatch.setenv("ZDCODES_RING_CAP", "4000")
     code, out, _ = run(capsys, "verify", "mixed-products", "--max-order", "16", "--jobs", "1")
     assert code == 0 and "0 unexpected" in out
-    assert len(reads) == 1
-    assert config.current().ring_cap == 4000  # the override is cleared again
+    assert reads == [None]
+    assert config.current() == 4000  # the override is cleared again
 
 
 def test_suites_record_wall_time_when_called_directly():
@@ -422,8 +422,10 @@ def test_bound_warns_but_still_searches(capsys, target, vertices):
         '{"n": 2, "edges": 5}',
         '{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}',
         '{"n": 2, "edges": [[0, null]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[true, 2]]}',
     ],
-    ids=["list", "null", "no-edges", "edges-int", "labels-list", "edge-null"],
+    ids=["list", "null", "no-edges", "edges-int", "labels-list", "edge-null", "n-bool", "edge-bool"],
 )
 def test_bad_graph_file_exits_1(tmp_path, capsys, text):
     path = tmp_path / "g.json"
@@ -509,8 +511,11 @@ def test_ring_expression_above_the_cap_exits_1_at_once(capsys, target):
         {"initial": None},
         {"initial": 4, "steps": [{"op": "A2", "v": None}]},
         {"initial": 4, "steps": [{"op": "A1", "v": 1, "n": "x"}]},
+        {"initial": 4, "steps": [{"op": "A2", "v": True}]},
+        {"initial": 4, "steps": [{"op": "A4", "v": 1, "n": 7, "k": True}]},
     ],
-    ids=["list", "steps-int", "step-not-object", "step-without-v", "initial-null", "v-null", "n-text"],
+    ids=["list", "steps-int", "step-not-object", "step-without-v", "initial-null", "v-null", "n-text",
+         "v-bool", "k-bool"],
 )
 def test_bad_trace_file_exits_1(tmp_path, capsys, obj):
     path = tmp_path / "t.json"
@@ -587,7 +592,7 @@ def test_reused_parser_keeps_no_config(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config, "set_override", lambda s: installed.append(s) or real(s))
     code, out, _ = run(capsys, "ring-info", "Z12")
     assert code == 0 and "order 12" in out
-    assert installed == [config.Settings().merged_with_env(), None]
+    assert installed == [config.read(), None]
 
 
 @pytest.mark.parametrize("argv, recorded", [((), "zdcodes.txt"), (("tpc-decide",), "tpc-decide.txt")])

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,25 +51,26 @@ def test_pair_sweep_matches_definition():
 
 def test_config_env_and_file(monkeypatch, tmp_path):
     monkeypatch.setenv("ZDCODES_RING_CAP", "99")
-    assert config.current().ring_cap == 99
+    assert config.current() == 99
     cfg = tmp_path / "s.json"
     cfg.write_text('{"ring_cap": 64, "backend": "numpy"}')
-    s = config.Settings().merged_with_file(str(cfg))
-    assert s == config.Settings(ring_cap=64)  # the stale backend key is ignored
+    assert config.read(str(cfg)) == 99  # the environment overrides the file
+    monkeypatch.delenv("ZDCODES_RING_CAP")
+    assert config.read(str(cfg)) == 64  # the stale backend key is ignored
     with pytest.raises(OSError):
-        config.Settings().merged_with_file(str(tmp_path / "missing.json"))
+        config.read(str(tmp_path / "missing.json"))
     cfg.write_text('{"backend": "bogus"}')
-    assert config.Settings().merged_with_file(str(cfg)) == config.Settings()
+    assert config.read(str(cfg)) == config.read() == 4096
 
 
 def test_config_override(monkeypatch):
     monkeypatch.delenv("ZDCODES_RING_CAP", raising=False)
-    config.set_override(config.Settings(ring_cap=7))
+    config.set_override(7)
     try:
-        assert config.current().ring_cap == 7
+        assert config.current() == 7
     finally:
         config.set_override(None)
-    assert config.current().ring_cap == 4096
+    assert config.current() == 4096
 
 
 def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
@@ -83,12 +82,15 @@ def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
     assert config.current() == before
     cfg = tmp_path / "s.json"
     cfg.write_text('{"solver_bound": "many", "enum_bound": 2.5, "table_cache_cap": 0}')
-    assert config.Settings().merged_with_file(str(cfg)) == config.Settings()
+    assert config.read(str(cfg)) == config.read()
 
 
-def test_env_vars_document_exactly_the_settings():
-    names = {config.ENV_PREFIX + f.name.upper() for f in dataclasses.fields(config.Settings)}
-    assert set(config.ENV_VARS) == names
+def test_env_vars_document_exactly_the_settings(monkeypatch):
+    ((var, doc),) = config.ENV_VARS.items()  # the ring cap is the only setting
+    monkeypatch.delenv(var, raising=False)
+    assert doc.endswith(f"(default {config.read()})")
+    monkeypatch.setenv(var, "5")
+    assert config.read() == 5
 
 
 # -- the twin-pruned search the representative search replaced ---------------
