@@ -49,9 +49,7 @@ from .zdg import (
     count_zero_divisors,
     cut_vertex_report,
     degree_one_vertices,
-    local_decider,
     mixed_decider,
-    reduced_decider,
     tpc_pair_solver,
     zero_divisor_graph,
 )
@@ -101,9 +99,7 @@ __all__ = [
     "count_zero_divisors",
     "cut_vertex_report",
     "degree_one_vertices",
-    "local_decider",
     "mixed_decider",
-    "reduced_decider",
     "tpc_pair_solver",
     "zero_divisor_graph",
 ]

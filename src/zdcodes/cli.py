@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 
 from . import config, graphs, ringexpr, suites, tables, trees, zdg
 from .tpc import DeciderResult, Verdict, consensus, find_tpc, graph_routes, is_total_perfect_code
@@ -108,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target")
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--bound", type=int, default=None, help="warn when the exact search runs on more vertices"
-    )
     p.set_defaults(func=cmd_tpc_decide)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -215,28 +211,15 @@ def _parse_graph_target(target: str) -> graphs.Graph | None:
     return None
 
 
-def _warn_above(vertices: int, bound: int | None) -> None:
-    if bound is not None and vertices > bound:
-        warnings.warn(
-            f"exact search on {vertices} vertices exceeds the bound {bound}; this may be slow",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def decide(target: str, bound: int | None = None) -> Verdict:
+def decide(target: str) -> Verdict:
     """Parse a graph target or a ring expression, run every route that
     applies and join them by the one consensus rule.  A graph's routes come
     from its shape (`tpc.graph_routes`), not its name, and `fig1` adds its
-    documented code.  The exact search always runs; `bound` only sets the
-    vertex count above which it warns.
+    documented code.  The exact search always runs.
     """
     g = _parse_graph_target(target)
     if g is None:
-        ring = ringexpr.ring_from_text(target)
-        _warn_above(len(ring.zero_divisors_nonzero), bound)
-        return zdg.decide_ring(ring)
-    _warn_above(g.n, bound)
+        return zdg.decide_ring(ringexpr.ring_from_text(target))
     routes = graph_routes(g)
     if target == "fig1":
         known = frozenset({0, 1, 6, 7})
@@ -247,7 +230,7 @@ def decide(target: str, bound: int | None = None) -> Verdict:
 
 
 def cmd_tpc_decide(args) -> int:
-    verdict = decide(args.target, args.bound)
+    verdict = decide(args.target)
     obj = verdict.to_obj()
     for d in obj["deciders"]:
         if d["id"] == "field-vacuous":

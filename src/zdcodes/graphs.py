@@ -426,7 +426,12 @@ def from_json_obj(obj: dict, name: str = "G") -> Graph:
     if labels is not None:
         if not isinstance(labels, dict):
             raise GraphError(f"'labels' must be an object, got {labels!r}")
-        labels = {int(k): str(v) for k, v in labels.items()}
+        for k, v in labels.items():
+            if not (k.isascii() and k.isdecimal() and isinstance(v, str)):
+                raise GraphError(
+                    f"'labels' must map decimal vertex numbers to strings, got {k!r}: {v!r}"
+                )
+        labels = {int(k): v for k, v in labels.items()}
     return Graph(obj["n"], [tuple(e) for e in edges], labels, name)
 
 

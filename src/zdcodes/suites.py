@@ -25,6 +25,7 @@ from importlib import resources
 
 from . import config, tables, trees, zdg
 from .graphs import Graph, corona, diameter, is_matching, make_complete, make_cycle, make_path
+from .ringexpr import ring_from_text
 from .rings import make_gf, make_quotient, make_zn, zn_crt
 from .tpc import find_tpc, graph_routes, is_total_perfect_code, path_decider, tree_tpc
 
@@ -304,7 +305,7 @@ def suite_local_catalog() -> SuiteReport:
         instance = ring.name
         z = zdg.zero_divisor_graph(ring)
         z.codes  # enumerated first: the decider's exact route reads its least code
-        problems = _verdict_problems(zdg.local_decider(ring, graph=z))
+        problems = _verdict_problems(zdg.mixed_decider([ring], [], graph=z))
         if problems:
             rep.finding(instance, "; ".join(problems))
             continue
@@ -334,7 +335,7 @@ def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
             if order > cap:
                 continue
             instance = " x ".join(f.name for f in factors)
-            verdict = zdg.reduced_decider(factors)
+            verdict = zdg.mixed_decider([], factors)
             problems = _verdict_problems(verdict)
             if verdict.admits != (k == 2):
                 problems.append(f"k={k} but admits={verdict.admits}")
@@ -345,7 +346,7 @@ def suite_reduced_products(max_factors: int = 4) -> SuiteReport:
     # Boolean anchors
     for k, admits in ((2, True), (3, False), (4, False)):
         instance = f"Z2^{k}"
-        verdict = zdg.reduced_decider([make_zn(2)] * k)
+        verdict = zdg.mixed_decider([], [make_zn(2)] * k)
         if verdict.admits != admits or verdict.discrepancy:
             rep.finding(instance, f"expected admits={admits}")
         else:
@@ -461,19 +462,10 @@ def _pair_completeness_problems(z: zdg.ZdGraph, admits: bool) -> list[str]:
 @_timed
 def suite_counting() -> SuiteReport:
     rep = SuiteReport("counting")
-    smallest = {
-        "R1xF": [make_zn(4), make_zn(2)],
-        "R1xR2": [make_zn(4), make_zn(4)],
-        "R1xF1xF2": [make_zn(4), make_zn(2), make_zn(2)],
-        "R1xR2xF": [make_zn(4), make_zn(4), make_zn(2)],
-        "R1xF1xF2xF3": [make_zn(4), make_zn(2), make_zn(2), make_zn(2)],
-        "R1xR2xR3": [make_zn(4), make_zn(4), make_zn(4)],
-    }
     finding_for_form = {"R1xR2": "count-two-local-formula", "R1xR2xR3": "count-three-local-formula"}
-    for form, factors in smallest.items():
-        closed, report = zdg.count_zero_divisors(factors)
+    for form, (stated_ring, stated) in zdg.STATED_COUNTS.items():
+        closed, report = zdg.count_zero_divisors(ring_from_text(stated_ring).factors)
         instance = report.form or form
-        stated_ring, stated = zdg.STATED_COUNTS[form]
         problems = []
         if report.enumerated != closed:
             problems.append(f"closed form {closed} != enumeration {report.enumerated}")

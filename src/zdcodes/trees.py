@@ -31,6 +31,15 @@ from .tpc import is_total_perfect_code, tree_tpc
 
 OPS = ("A1", "A2", "A3", "A4")
 
+#: the most vertices a grown tree may have; larger traces and budgets are
+#: refused before any growth
+MAX_TREE_VERTICES = 4096
+
+
+def _check_size(vertices: int, what: str) -> None:
+    if vertices > MAX_TREE_VERTICES:
+        raise ValueError(f"{what} {vertices} exceeds the tree bound {MAX_TREE_VERTICES}")
+
 
 class StepPreconditionError(ValueError):
     pass
@@ -150,6 +159,7 @@ class BuildTrace:
 def _attach_path(t: Graph, v: int, n: int, join_offset: int) -> Graph:
     """t plus a path on the new vertices t.n..t.n+n-1, its vertex
     `join_offset` joined to v."""
+    _check_size(t.n + n, "the grown tree's vertex count")
     base = t.n
     span = (1 << n) - 1
     masks = list(t.neighbor_masks)
@@ -212,6 +222,7 @@ def _grow(initial: int, next_step) -> BuildTrace:
         raise StepPreconditionError(
             f"the starting path length {initial} is 1 mod 4 and admits no code"
         )
+    _check_size(initial, "the starting path length")
     t = Graph.from_masks(make_path(initial).neighbor_masks, name=f"familyT({initial})")
     steps: list[TreeBuildStep] = []
     codes = [tree_tpc(t)]
@@ -256,6 +267,7 @@ def random_family_T(seed: int, size_budget: int) -> BuildTrace:
     """
     if size_budget < 0:
         raise ValueError(f"the size budget must be nonnegative, got {size_budget}")
+    _check_size(size_budget, "the size budget")
     starts = [n for n in (2, 3, 4, 6, 7, 8) if n <= size_budget]
     if not starts:
         raise ValueError(f"the size budget {size_budget} is below the shortest starting path, 2")

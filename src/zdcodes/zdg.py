@@ -232,18 +232,36 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
 # -- the ring deciders ------------------------------------------------------------
 
 
-def _artinian_verdict(locals_: list, fields_: list, graph: ZdGraph | None = None) -> Verdict:
+def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) -> Verdict:
     """The characterisation on m local non-field factors and n field
-    factors (not a lone field), beside the exact pair sweep on Gamma of
-    their product, or on `graph`, Gamma of an isomorphic ring, when the
-    caller has one.  One local ring: ann-pair-structural, with the
-    degree-one and exact-search routes.  Fields only: field-count, a code
-    exactly for two fields, witnessed by (1,0),(0,1).  Anything else:
-    artinian-case, a code exactly for m = n = 1 with one nonzero
-    zero-divisor z in the local factor, witnessed by (z,0),(0,1); the
-    looser two-zero-divisor variant is refuted by the exact oracle (see
-    the known findings manifest, entry local-field-zstar-two).
+    factors, beside the exact pair sweep on Gamma of their product, or on
+    `graph`, Gamma of an isomorphic ring, when the caller has one.  A lone
+    field gets the vacuous empty code.  One local ring: ann-pair-structural
+    (some |ann(x)| = 2 with |Z(R)| >= 3, or a two-vertex graph whose
+    vertices annihilate each other), with the degree-one and exact-search
+    routes.  Fields only: field-count, a code exactly for two fields,
+    witnessed by (1,0),(0,1).  Anything else: artinian-case, a code exactly
+    for m = n = 1 with one nonzero zero-divisor z in the local factor,
+    witnessed by (z,0),(0,1); the looser two-zero-divisor variant is
+    refuted by the exact oracle (see the known findings manifest, entry
+    local-field-zstar-two).  All routes must agree or the verdict is
+    flagged.
     """
+    locals_ = list(local_factors)
+    fields_ = list(field_factors)
+    for f in locals_:
+        if f.is_field or not f.is_local:
+            raise RingError(
+                f"factor {f.name} is {'a field' if f.is_field else 'not local'}; "
+                "it cannot be passed as a local non-field factor"
+            )
+    for f in fields_:
+        if not f.is_field:
+            raise RingError(f"factor {f.name} is not a field")
+    if not locals_ and not fields_:
+        raise RingError("at least one factor is required")
+    if not locals_ and len(fields_) == 1:
+        return consensus(fields_[0].name, [_VACUOUS])
     m, n = len(locals_), len(fields_)
     local = (m, n) == (1, 0)
     witness = head = None
@@ -280,60 +298,6 @@ def _artinian_verdict(locals_: list, fields_: list, graph: ZdGraph | None = None
         exact = ring_code_exact(z)
         results.append(_route(z.ring, "exact-search", exact is not None, exact))
     return consensus(ring.name, results, graph=z)
-
-
-def local_decider(ring: FiniteRing, graph: ZdGraph | None = None) -> Verdict:
-    """Four independent routes for a local non-field ring: the annihilator
-    criterion (some |ann(x)| = 2 with |Z(R)| >= 3, or a two-vertex graph
-    whose vertices annihilate each other), the degree-one criterion, the
-    exact pair sweep and the exact search.  All must agree or the verdict
-    is flagged.
-    `graph` is Gamma of a ring isomorphic to `ring` when the caller has
-    built one; the graph routes then run on it.
-    """
-    if not ring.is_local or ring.is_field:
-        raise RingError(f"{ring.name} is not a local non-field ring")
-    return _artinian_verdict([ring], [], graph)
-
-
-def reduced_decider(factors, graph: ZdGraph | None = None) -> Verdict:
-    """Products of k >= 2 fields admit a code exactly for k = 2, witnessed
-    by (1,0),(0,1); cross-checked by the pair sweep on the built product,
-    or on `graph`, Gamma of an isomorphic ring, when the caller has one.
-    """
-    factors = list(factors)
-    for f in factors:
-        if not f.is_field:
-            raise RingError(
-                f"factor {f.name} is not a field; use mixed_decider for local factors"
-            )
-    if len(factors) < 2:
-        raise RingError("a reduced product needs at least two field factors")
-    return _artinian_verdict([], factors, graph)
-
-
-def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) -> Verdict:
-    """The case analysis on m local non-field factors and n field factors:
-    m = 1, n = 0 runs the local decider's routes, m = 0 the reduced
-    decider's, and a lone field gets the vacuous empty code.  `graph` is
-    Gamma of a ring isomorphic to the product when the caller has one.
-    """
-    locals_ = list(local_factors)
-    fields_ = list(field_factors)
-    for f in locals_:
-        if f.is_field or not f.is_local:
-            raise RingError(
-                f"factor {f.name} is {'a field' if f.is_field else 'not local'}; "
-                "it cannot be passed as a local non-field factor"
-            )
-    for f in fields_:
-        if not f.is_field:
-            raise RingError(f"factor {f.name} is not a field")
-    if not locals_ and not fields_:
-        raise RingError("at least one factor is required")
-    if not locals_ and len(fields_) == 1:
-        return consensus(fields_[0].name, [_VACUOUS])
-    return _artinian_verdict(locals_, fields_, graph)
 
 
 # -- decomposition for arbitrary rings ------------------------------------------
@@ -386,7 +350,7 @@ def decide_ring(ring: FiniteRing) -> Verdict:
     notes: tuple[str, ...] = ()
     split = artinian_split(ring)
     if split is not None:
-        v = _artinian_verdict(*split, graph=z)
+        v = mixed_decider(*split, graph=z)
         route_id = "structural:" + "+".join(d.decider_id for d in v.deciders)
         results.append(DeciderResult(route_id, v.admits, v.witness, v.witness_names))
         notes = v.notes

@@ -161,9 +161,9 @@ def test_c7_local_catalog(reports):
 def test_c8_reduced_products(reports):
     rep = reports["reduced-products"]
     assert not rep.unexpected and not rep.discrepancies
-    assert zdg.reduced_decider([make_zn(2), make_zn(2)]).admits
-    assert not zdg.reduced_decider([make_zn(2)] * 3).admits
-    assert not zdg.reduced_decider([make_zn(2)] * 4).admits
+    assert mixed_decider([], [make_zn(2), make_zn(2)]).admits
+    assert not mixed_decider([], [make_zn(2)] * 3).admits
+    assert not mixed_decider([], [make_zn(2)] * 4).admits
 
 
 def test_c9_mixed_products(reports):

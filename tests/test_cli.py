@@ -1,5 +1,5 @@
 import json
-import warnings
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +218,14 @@ def test_random_tree_budget_below_two_exits_1(capsys):
     assert err.startswith("error: ") and "shortest starting path" in err and err.count("\n") == 1
 
 
+def test_random_tree_budget_above_the_tree_bound_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tree-gen", "--random", "7", "100000000")
+    assert time.perf_counter() - start < 0.5  # refused before the tree is grown
+    assert code == 1 and out == ""
+    assert err == "error: the size budget 100000000 exceeds the tree bound 4096\n"
+
+
 def test_probe_max_zero_checks_no_trees(capsys):
     code, out, _ = run(
         capsys, "verify", "trees", "--samples", "0", "--traces", "0", "--probe-max", "0"
@@ -395,22 +403,12 @@ def test_nested_structural_discrepancy_exits_2(capsys, monkeypatch):
     # sabotage a route nested in the structural case analysis: the top-level
     # routes still agree, but the disagreement below them must surface
     monkeypatch.setattr(zdg, "degree_one_vertices", lambda z: frozenset())
-    assert zdg.local_decider(make_zn(8)).discrepancy
+    assert zdg.mixed_decider([make_zn(8)], []).discrepancy
     code, out, _ = run(capsys, "tpc-decide", "Z8")
     assert code == 2 and "Z8: admits (DISCREPANCY)" in out
     assert "decider degree-one says no code" in out
     code, out, _ = run(capsys, "tpc-decide", "Z8", "--json")
     assert code == 2 and json.loads(out)["consensus"] is False
-
-
-@pytest.mark.parametrize(
-    "target, vertices", [("path:30", 30), ("Z256", 127)], ids=["graph", "ring"]
-)
-def test_bound_warns_but_still_searches(capsys, target, vertices):
-    with pytest.warns(RuntimeWarning, match=f"exact search on {vertices} vertices exceeds the bound 20"):
-        code, out, _ = run(capsys, "tpc-decide", target, "--bound", "20", "--json")
-    assert code == 0
-    assert json.loads(out)["deciders"][-1]["id"] == "exact-search"
 
 
 @pytest.mark.parametrize(
@@ -424,8 +422,11 @@ def test_bound_warns_but_still_searches(capsys, target, vertices):
         '{"n": 2, "edges": [[0, null]]}',
         '{"n": true, "edges": []}',
         '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 2, "edges": [[0, 1]], "labels": {"0": true}}',
+        '{"n": 2, "edges": [[0, 1]], "labels": {"x": "a"}}',
     ],
-    ids=["list", "null", "no-edges", "edges-int", "labels-list", "edge-null", "n-bool", "edge-bool"],
+    ids=["list", "null", "no-edges", "edges-int", "labels-list", "edge-null", "n-bool", "edge-bool",
+         "labels-bool", "labels-key"],
 )
 def test_bad_graph_file_exits_1(tmp_path, capsys, text):
     path = tmp_path / "g.json"
@@ -433,6 +434,7 @@ def test_bad_graph_file_exits_1(tmp_path, capsys, text):
     code, out, err = run(capsys, "tpc-decide", f"file:{path}")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: bad graph target")
+    assert "'labels'" in err or '"labels"' not in text
 
 
 @pytest.mark.parametrize(
@@ -513,14 +515,18 @@ def test_ring_expression_above_the_cap_exits_1_at_once(capsys, target):
         {"initial": 4, "steps": [{"op": "A1", "v": 1, "n": "x"}]},
         {"initial": 4, "steps": [{"op": "A2", "v": True}]},
         {"initial": 4, "steps": [{"op": "A4", "v": 1, "n": 7, "k": True}]},
+        {"initial": 100_000_000},
+        {"initial": 4, "steps": [{"op": "A1", "v": 1, "n": 100_000_000}]},
     ],
     ids=["list", "steps-int", "step-not-object", "step-without-v", "initial-null", "v-null", "n-text",
-         "v-bool", "k-bool"],
+         "v-bool", "k-bool", "initial-huge", "n-huge"],
 )
 def test_bad_trace_file_exits_1(tmp_path, capsys, obj):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(obj))
+    start = time.perf_counter()
     code, out, err = run(capsys, "tree-gen", "--trace", str(path))
+    assert time.perf_counter() - start < 0.5  # refused before the tree is grown
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
 
@@ -565,21 +571,18 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_bound_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tpc-decide", "Z12", "--bound", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bound 5" in capsys.readouterr().err
+
+
 def test_reused_parser_keeps_no_flags(capsys):
     code, out, _ = run(capsys, "tpc-decide", "Z12", "--json")
     assert code == 0 and json.loads(out)["witness"] == ["4", "6"]
     code, out, _ = run(capsys, "tpc-decide", "Z12")
     assert code == 0 and out.endswith("Z12: admits (consensus)\n") and not out.startswith("{")
-
-
-def test_reused_parser_keeps_no_bound(capsys):
-    with pytest.warns(RuntimeWarning, match="exceeds the bound 5"):
-        code, _, _ = run(capsys, "tpc-decide", "Z12", "--bound", "5")
-    assert code == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, _ = run(capsys, "tpc-decide", "Z12")
-    assert code == 0
 
 
 def test_reused_parser_keeps_no_config(tmp_path, capsys, monkeypatch):

@@ -18,9 +18,7 @@ from zdcodes.zdg import (
     cut_vertex_report,
     degree_one_vertices,
     is_exceptional_local_fingerprint,
-    local_decider,
     mixed_decider,
-    reduced_decider,
     tpc_pair_solver,
     zero_divisor_graph,
 )
@@ -139,6 +137,17 @@ def test_graph_answers_are_computed_once(monkeypatch):
     assert rep.exit_code() == 0
     assert calls.count("representative_codes") == rep.instances == len(suites.local_catalog())
     assert calls.count("graph") == rep.instances
+    # so do the product suites, bar the reduced suite's three Z2^k anchors,
+    # which are not enumerated
+    for suite, kwargs, graphs, searches in (
+        (suites.suite_reduced_products, {}, 204, 201),
+        (suites.suite_mixed_products, {"max_order": 128}, 350, 350),
+    ):
+        calls.clear()
+        rep = suite(**kwargs)
+        assert rep.exit_code() == 0 and rep.instances == graphs
+        assert calls.count("graph") == graphs
+        assert calls.count("representative_codes") == searches
 
 
 def test_counting_enumerates_by_brute_force(monkeypatch):
@@ -159,28 +168,28 @@ def test_degree_one_vertices():
     assert degree_one_vertices(zero_divisor_graph(make_zn(9))) == {3, 6}
 
 
-def test_local_decider():
-    v = local_decider(make_zn(16))
+def test_mixed_decider_local_case():
+    v = mixed_decider([make_zn(16)], [])
     assert v.admits and v.witness == {2, 8} and not v.discrepancy
     assert {d.decider_id for d in v.deciders} >= {
         "ann-pair-structural",
         "degree-one",
         "exact-pair",
     }
-    v = local_decider(make_zn(9))
+    v = mixed_decider([make_zn(9)], [])
     assert v.admits and v.witness == {3, 6}
-    v = local_decider(make_zn(25))
+    v = mixed_decider([make_zn(25)], [])
     assert not v.admits and not v.discrepancy
-    with pytest.raises(RingError):
-        local_decider(make_zn(12))
-    with pytest.raises(RingError):
-        local_decider(make_zn(7))
+    with pytest.raises(RingError, match="not local"):
+        mixed_decider([make_zn(12)], [])
+    with pytest.raises(RingError, match="a field"):
+        mixed_decider([make_zn(7)], [])
 
 
-def test_local_decider_on_quotients():
-    v = local_decider(make_quotient(3, (0, 0, 1)))
+def test_mixed_decider_local_quotients():
+    v = mixed_decider([make_quotient(3, (0, 0, 1))], [])
     assert v.admits and not v.discrepancy  # two mutually annihilating vertices
-    v = local_decider(make_quotient(5, (0, 0, 1)))
+    v = mixed_decider([make_quotient(5, (0, 0, 1))], [])
     assert not v.admits and not v.discrepancy  # a 4-clique
 
 
@@ -243,17 +252,15 @@ def test_fingerprint_rejects_order16_rings_without_cut_vertex(build):
     assert not rep.articulation_elements and not rep.findings
 
 
-def test_reduced_decider():
-    v = reduced_decider([make_zn(2), make_zn(2)])
+def test_mixed_decider_reduced_case():
+    v = mixed_decider([], [make_zn(2), make_zn(2)])
     assert v.admits and v.witness_names == ("(0,1)", "(1,0)") and not v.discrepancy
-    v = reduced_decider([make_zn(2)] * 3)
+    v = mixed_decider([], [make_zn(2)] * 3)
     assert not v.admits and not v.discrepancy
-    v = reduced_decider([make_zn(3), make_gf(2, 2)])
+    v = mixed_decider([], [make_zn(3), make_gf(2, 2)])
     assert v.admits and not v.discrepancy  # the 5-vertex complete bipartite graph
     with pytest.raises(RingError, match="not a field"):
-        reduced_decider([make_zn(4), make_zn(2)])
-    with pytest.raises(RingError):
-        reduced_decider([make_zn(2)])
+        mixed_decider([], [make_zn(4), make_zn(2)])
 
 
 def test_mixed_decider_cases():
@@ -300,18 +307,34 @@ def test_mixed_decider_delegation_and_errors():
     ids=["1-0", "0-1", "0-2", "0-3", "1-1", "1-2", "2-0", "2-1", "3-0"],
 )
 def test_decider_route_shape_by_factor_counts(locals_, fields_, route_ids, witness_names):
-    # (m, n) local non-field and field factors: every decider that accepts
-    # the shape runs the same routes, in the same order, to the same witness
+    # (m, n) local non-field and field factors: the case analysis runs these
+    # routes, in this order, to this witness, and decide_ring on the product
+    # nests the same routes in its structural id
     locals_ = [make_zn(q) for q in locals_]
     fields_ = [make_zn(p) for p in fields_]
-    verdicts = [mixed_decider(locals_, fields_)]
-    if not locals_ and len(fields_) >= 2:
-        verdicts.append(reduced_decider(fields_))
-    if len(locals_) == 1 and not fields_:
-        verdicts.append(local_decider(locals_[0]))
-    for v in verdicts:
-        assert [d.decider_id for d in v.deciders] == route_ids
-        assert v.witness_names == witness_names and not v.discrepancy
+    v = mixed_decider(locals_, fields_)
+    assert [d.decider_id for d in v.deciders] == route_ids
+    assert v.witness_names == witness_names and not v.discrepancy
+    factors = locals_ + fields_
+    ring = factors[0] if len(factors) == 1 else make_product(factors)
+    ids = [d.decider_id for d in zdg.decide_ring(ring).deciders]
+    if route_ids == ["field-vacuous"]:
+        assert ids == route_ids  # a field's empty graph gets the vacuous route only
+    else:
+        assert "structural:" + "+".join(route_ids) in ids
+
+
+def test_package_all_names_every_public_name():
+    # a name deleted from a module must leave the package's exports too
+    import types
+
+    import zdcodes
+
+    public = [
+        k for k, v in vars(zdcodes).items()
+        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+    ]
+    assert sorted(zdcodes.__all__) == sorted(public)
 
 
 def test_verdict_serialization():
