@@ -24,7 +24,6 @@ from .rings import (
     make_product,
     make_quotient,
     make_zn,
-    validate_ring,
 )
 from .ringexpr import ParseError, ResolveError, ring_from_text
 from .tables import TableRingSpec, catalog_ring, make_table_ring
@@ -74,7 +73,6 @@ __all__ = [
     "make_product",
     "make_quotient",
     "make_zn",
-    "validate_ring",
     "ParseError",
     "ResolveError",
     "ring_from_text",

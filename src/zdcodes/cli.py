@@ -301,7 +301,10 @@ def cmd_verify(args) -> int:
 def cmd_tree_gen(args) -> int:
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError as exc:  # nested deeper than the decoder's stack
+                raise ValueError(str(exc)) from None
         initial, steps = trees.BuildTrace.obj_steps(obj)
         try:
             trace = trees.generate_family_T(initial, steps)

@@ -42,7 +42,7 @@ def read(path: str | None = None) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # malformed or nested too deeply
                 raise ValueError(f"config file {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file {path}: expected a JSON object")

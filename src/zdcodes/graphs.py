@@ -436,7 +436,11 @@ def from_json_obj(obj: dict, name: str = "G") -> Graph:
 
 
 def from_json(text: str, name: str = "G") -> Graph:
-    return from_json_obj(json.loads(text), name)
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the decoder's stack
+        raise GraphError(str(exc)) from None
+    return from_json_obj(obj, name)
 
 
 def _dot_quoted(text: str) -> str:

@@ -126,7 +126,10 @@ class FiniteRing:
         reads; those two multiply in closed form or through their factors."""
         if self.kind == "zn" or self.factors:
             return None
-        return self._build_table(self._vec_mul)
+        table = np.empty((self.order, self.order), dtype=np.int64)
+        for xs, rows in self._row_chunks(self._vec_mul):
+            table[xs[0] : xs[0] + len(xs)] = rows
+        return table
 
     def _row_chunks(self, op: VecOp):
         """(xs, op(x, y) for x in xs and every y) over row chunks small
@@ -137,18 +140,6 @@ class FiniteRing:
         for s in range(0, n, step):
             xs = idx[s : s + step]
             yield xs, op(xs[:, None], idx[None, :])
-
-    def _build_table(self, op: VecOp) -> np.ndarray:
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        for xs, rows in self._row_chunks(op):
-            table[xs[0] : xs[0] + len(xs)] = rows
-        return table
-
-    def add_table(self) -> np.ndarray:
-        return self._build_table(self.vec_add)
-
-    def mul_table(self) -> np.ndarray:
-        return self._table if self._table is not None else self._build_table(self.vec_mul)
 
     def zero_products(self, xs: np.ndarray) -> np.ndarray:
         """Boolean matrix of x*y == 0 over the given elements, both ways.
@@ -516,59 +507,3 @@ def zn_crt(n: int) -> tuple[FiniteRing, np.ndarray, np.ndarray]:
     from_prod = np.empty(n, dtype=np.int64)
     from_prod[to_prod] = x
     return prod, to_prod, from_prod
-
-
-# -- full axiom validation -----------------------------------------------------
-
-
-class RingAxiomError(RingError):
-    pass
-
-
-def validate_ring(ring: FiniteRing, chunk: int | None = None) -> None:
-    """Exhaustively check the ring axioms over every element (all pairs for
-    commutativity and identities, all triples for associativity and
-    distributivity).  Raises RingAxiomError naming the first failing tuple.
-    """
-    n = ring.order
-    add = ring.add_table()
-    mul = ring.mul_table()
-    name = ring.element_name
-
-    def fail(law: str, triple: tuple[int, ...]) -> None:
-        pretty = ", ".join(name(t) for t in triple)
-        raise RingAxiomError(f"{law} fails at ({pretty}) in {ring.name}")
-
-    if ring.one == ring.zero:
-        raise RingAxiomError("zero equals one")
-    idx = np.arange(n, dtype=np.int64)
-    for law, table in (("additive commutativity", add), ("multiplicative commutativity", mul)):
-        bad = np.argwhere(table != table.T)
-        if bad.size:
-            fail(law, tuple(bad[0].tolist()))
-    if not (add[0] == idx).all():
-        fail("additive identity", (int(np.nonzero(add[0] != idx)[0][0]),))
-    if not (mul[ring.one] == idx).all():
-        fail("multiplicative identity", (int(np.nonzero(mul[ring.one] != idx)[0][0]),))
-    if not (mul[0] == 0).all():
-        fail("zero absorption", (int(np.nonzero(mul[0] != 0)[0][0]),))
-    neg_ok = (add == 0).any(axis=1)
-    if not neg_ok.all():
-        fail("additive inverse", (int(np.nonzero(~neg_ok)[0][0]),))
-
-    step = chunk or max(1, (1 << 22) // max(1, n * n))
-    for s in range(0, n, step):
-        rows = idx[s : s + step]
-        for law, table in (("additive associativity", add), ("multiplicative associativity", mul)):
-            left = table[table[rows]]          # (c, j, k) -> (i+j)+k
-            right = table[rows][:, table]      # (c, j, k) -> i+(j+k)
-            bad = np.argwhere(left != right)
-            if bad.size:
-                i, j, k = bad[0].tolist()
-                fail(law, (int(rows[i]), j, k))
-        left = mul[rows][:, add]               # i*(j+k)
-        right = add[mul[rows][:, :, None], mul[rows][:, None, :]]
-        bad = np.argwhere(left != right)
-        if bad.size:
-            i, j, k = bad[0].tolist()
-            fail("distributivity", (int(rows[i]), j, k))

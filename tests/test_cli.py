@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from zdcodes import config, zdg
+from zdcodes import config, tables, zdg
 from zdcodes.cli import main
 from zdcodes.rings import make_zn
 
 TREE_GEN = Path(__file__).parent / "data" / "tree_gen"
 DECIDE = Path(__file__).parent / "data" / "decide"
 DECIDE_RECORDS = json.loads((DECIDE / "recorded.json").read_text(encoding="utf-8"))
+DEEP = "[" * 200_000 + "]" * 200_000  # JSON nested past the decoder's recursion limit
 
 
 def run(capsys, *argv):
@@ -348,7 +349,7 @@ def test_deleted_bound_variables_are_ignored(capsys, monkeypatch, var, value):
     assert code == 0 and "consensus" in out and err == ""
 
 
-@pytest.mark.parametrize("text", ["5", "[1, 2]", "{not json"])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "{not json", pytest.param(DEEP, id="deep")])
 def test_bad_config_file_is_named(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -424,9 +425,10 @@ def test_nested_structural_discrepancy_exits_2(capsys, monkeypatch):
         '{"n": 3, "edges": [[true, 2]]}',
         '{"n": 2, "edges": [[0, 1]], "labels": {"0": true}}',
         '{"n": 2, "edges": [[0, 1]], "labels": {"x": "a"}}',
+        DEEP,
     ],
     ids=["list", "null", "no-edges", "edges-int", "labels-list", "edge-null", "n-bool", "edge-bool",
-         "labels-bool", "labels-key"],
+         "labels-bool", "labels-key", "deep"],
 )
 def test_bad_graph_file_exits_1(tmp_path, capsys, text):
     path = tmp_path / "g.json"
@@ -447,12 +449,16 @@ def test_bad_graph_file_exits_1(tmp_path, capsys, text):
          "2.9 is not an integer"),
         ({"name": "tiny", "moduli": [True, 2], "one": [1, 0],
           "products": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}, "True is not an integer"),
+        # Z2 x Z2 on its idempotents e0, e1, with e0 named as the one
+        ({"name": "Z2 x Z2", "moduli": [2, 2], "one": [1, 0],
+          "products": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}, "one * e1 != e1"),
+        (DEEP, "maximum recursion depth exceeded"),
     ],
-    ids=["list", "no-products", "moduli-int", "floats", "bool-modulus"],
+    ids=["list", "no-products", "moduli-int", "floats", "bool-modulus", "one-not-identity", "deep"],
 )
 def test_bad_table_spec_file_exits_1(tmp_path, capsys, obj, message):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))  # a str is the file's text
     code, out, err = run(capsys, "tpc-decide", f"table:{path}")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and message in err
@@ -475,6 +481,20 @@ def _zero_spec(moduli):
     k = len(moduli)
     return {"name": "big", "moduli": moduli, "one": [1] + [0] * (k - 1),
             "products": [[[0] * k for _ in range(k)] for _ in range(k)]}
+
+
+def test_table_spec_entries_past_int64_decide(tmp_path, capsys):
+    # every entry offset by 2**70 times its modulus: the same ring as the fixture
+    spec = tables.load_catalog_spec("Z4X-X2").to_obj()
+    ms = spec["moduli"]
+    spec["one"] = [c + 2**70 * m for c, m in zip(spec["one"], ms)]
+    spec["products"] = [[[c + 2**70 * m for c, m in zip(cell, ms)] for cell in row]
+                        for row in spec["products"]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "tpc-decide", f"table:{path}")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "tpc-decide", "@Z4X-X2")[1]
 
 
 @pytest.mark.parametrize(
@@ -517,13 +537,14 @@ def test_ring_expression_above_the_cap_exits_1_at_once(capsys, target):
         {"initial": 4, "steps": [{"op": "A4", "v": 1, "n": 7, "k": True}]},
         {"initial": 100_000_000},
         {"initial": 4, "steps": [{"op": "A1", "v": 1, "n": 100_000_000}]},
+        DEEP,
     ],
     ids=["list", "steps-int", "step-not-object", "step-without-v", "initial-null", "v-null", "n-text",
-         "v-bool", "k-bool", "initial-huge", "n-huge"],
+         "v-bool", "k-bool", "initial-huge", "n-huge", "deep"],
 )
 def test_bad_trace_file_exits_1(tmp_path, capsys, obj):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))  # a str is the file's text
     start = time.perf_counter()
     code, out, err = run(capsys, "tree-gen", "--trace", str(path))
     assert time.perf_counter() - start < 0.5  # refused before the tree is grown

@@ -71,7 +71,8 @@ def element_edges(z) -> set[tuple[int, int]]:
 
 def brute_edges(ring: FiniteRing) -> set[tuple[int, int]]:
     zs = sorted(ring.zero_divisors_nonzero)
-    mul = ring.mul_table()
+    idx = np.arange(ring.order, dtype=np.int64)
+    mul = ring.vec_mul(idx[:, None], idx[None, :])
     return {(x, y) for i, x in enumerate(zs) for y in zs[i + 1 :] if mul[x, y] == 0}
 
 

@@ -101,8 +101,9 @@ def einsum_ops(spec):
 def assert_matches(ring, ops):
     vadd, vmul, name = ops
     idx = np.arange(ring.order, dtype=np.int64)
-    assert np.array_equal(ring.mul_table(), vmul(idx[:, None], idx[None, :]))
-    assert np.array_equal(ring.add_table(), vadd(idx[:, None], idx[None, :]))
+    pairs = (idx[:, None], idx[None, :])
+    assert np.array_equal(ring.vec_mul(*pairs), vmul(*pairs))
+    assert np.array_equal(ring.vec_add(*pairs), vadd(*pairs))
     assert [ring.element_name(x) for x in idx] == [name(x) for x in idx]
 
 
