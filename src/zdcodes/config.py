@@ -22,13 +22,13 @@ ENV_VARS = {
 
 def _cap(raw, source: str) -> int:
     """A cap value as an int; anything but a non-negative integer (or its
-    decimal text) is a ValueError that names `source`."""
+    ASCII decimal text: no sign, space, underscore or other digits) is a
+    ValueError that names `source`."""
     value = None
-    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
-        try:
-            value = int(raw)
-        except ValueError:
-            pass
+    if isinstance(raw, str) and raw.isascii() and raw.isdecimal():
+        value = int(raw)
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        value = raw
     if value is None or value < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
     return value

@@ -132,15 +132,6 @@ class Graph:
         g._setup(tuple(masks), labels, name)
         return g
 
-    @classmethod
-    def from_adjacency(
-        cls, adj: np.ndarray, labels: Mapping[int, str] | None = None, name: str = "G"
-    ) -> "Graph":
-        """The graph of a symmetric boolean adjacency matrix with a clear
-        diagonal; row v, packed little-endian, is the bitmask of N(v)."""
-        rows = np.packbits(adj, axis=1, bitorder="little")
-        return cls.from_masks((int.from_bytes(row, "little") for row in rows), labels, name)
-
     def _setup(self, masks: tuple[int, ...], labels, name: str) -> None:
         n = len(masks)
         if labels is not None:

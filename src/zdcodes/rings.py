@@ -12,17 +12,17 @@ quotient of degree d is the structure-constant ring on Z_m^d over the
 basis x^(d-1), ..., x, 1, so an element's index is its coefficient list
 read as base-m digits, constant term least significant.
 
-The ring's kind decides how its structure is computed.  Z_n's comes from
-its gcd classes: x is a unit exactly when gcd(x, n) = 1, and xy = 0 exactly
-when n divides gcd(x, n)·gcd(y, n), so units, annihilators and zero
-products need no table at any order.  Products are computed from their
-factors: arithmetic applies each factor's own, and units, annihilators,
-zero products and the field and reduced tests follow from the factors'
-answers.  Every other ring (quotient, GF, table) builds one
-multiplication table on first use, row chunk by row chunk, and reads its
-products, units, annihilators and zero products from it.  For every ring
-Z*(R) is the set of nonzero non-units, and R is local exactly when it has
-two idempotents.
+A product's arithmetic applies each factor's own; every other ring but
+Z_n (quotient, GF, table) builds one multiplication table on first use,
+row chunk by row chunk, and multiplies by reading it.
+
+Elements with one annihilator are twins in Gamma(R), so each ring's
+structure is one view of its annihilator classes, `FiniteRing.classes`:
+each element's class and which pairs of classes multiply to zero.  The
+ring's kind decides only how that view is computed (Z_n from gcd(x, n), a
+product from its factors' views, any other ring from its table); units,
+annihilators and Gamma(R) all read it.  For every ring Z*(R) is the set of
+nonzero non-units, and R is local exactly when it has two idempotents.
 """
 
 from __future__ import annotations
@@ -141,43 +141,51 @@ class FiniteRing:
             xs = idx[s : s + step]
             yield xs, op(xs[:, None], idx[None, :])
 
-    def zero_products(self, xs: np.ndarray) -> np.ndarray:
-        """Boolean matrix of x*y == 0 over the given elements, both ways.
-        Z_n decides it once per pair of distinct gcd classes and a product
-        once per pair of distinct coordinates in each factor, where xy = 0
-        exactly when every coordinate product vanishes."""
-        g = self._zn_gcd
-        if g is not None:
-            values, where = np.unique(g[xs], return_inverse=True)
-            return ((values[:, None] * values[None, :]) % self.order == 0)[np.ix_(where, where)]
-        if self.factors:
-            out = np.ones((len(xs), len(xs)), dtype=bool)
-            for f, coords in zip(self.factors, _mixed_decode(xs, [f.order for f in self.factors])):
-                values, where = np.unique(coords, return_inverse=True)
-                out &= f.zero_products(values)[np.ix_(where, where)]
-            return out
-        return self._table[np.ix_(xs, xs)] == 0
-
     # -- structure ----------------------------------------------------------
 
     @cached_property
-    def _zn_gcd(self) -> np.ndarray | None:
-        """gcd(x, n) for every x of Z_n, the class that fixes x's structure;
-        None for every other ring."""
-        if self.kind != "zn":
-            return None
-        return np.gcd(np.arange(self.order, dtype=np.int64), self.order)
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cls, zero): cls[x] is the annihilator class of x, and zero[c, d]
+        holds exactly when xy = 0 for x in class c and y in class d.  Equal
+        annihilators make equal zero products, so one representative per
+        class decides them; 0 is alone in its class.
+
+        Z_n's classes are the divisors d of n, x's being gcd(x, n), since
+        xy = 0 exactly when n divides gcd(x, n)·gcd(y, n).  A product's are
+        the mixed-radix tuples of its factors' classes, and it zeroes a pair
+        exactly when every factor does.  Any other ring's are the distinct
+        zero patterns of its table rows."""
+        if self.kind == "zn":
+            n = self.order
+            divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+            cls = np.searchsorted(divisors, np.gcd(np.arange(n), n))
+            return cls, (divisors[:, None] * divisors[None, :]) % n == 0
+        if self.factors:
+            cls, zero = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=bool)
+            for f in self.factors:
+                f_cls, f_zero = f.classes
+                k, j = len(zero), len(f_zero)
+                cls = (cls[:, None] * j + f_cls[None, :]).ravel()
+                zero = (zero[:, None, :, None] & f_zero[None, :, None, :]).reshape(k * j, k * j)
+            return cls, zero
+        ids: dict[bytes, int] = {}
+        packed = np.packbits(self._table == 0, axis=1)
+        cls = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in packed])
+        reps = np.unique(cls, return_index=True)[1]
+        return cls, self._table[np.ix_(reps, reps)] == 0
+
+    @cached_property
+    def _annihilators(self) -> list[frozenset[int]]:
+        """ann(x) for x in each class: the members of the classes it
+        annihilates."""
+        cls, zero = self.classes
+        return [frozenset(np.flatnonzero(row[cls]).tolist()) for row in zero]
 
     @cached_property
     def units(self) -> frozenset[int]:
-        """A product element is a unit exactly when every coordinate is; a
-        Z_n element exactly when it is coprime to n; in any other ring
-        exactly when its table row contains one."""
-        if self.factors:
-            return _product_set(self.factors, [f.units for f in self.factors])
-        if self._zn_gcd is not None:
-            return frozenset(np.flatnonzero(self._zn_gcd == 1).tolist())
-        return frozenset(np.flatnonzero((self._table == self.one).any(axis=1)).tolist())
+        """The x with ann(x) = {0}: x's class annihilates only the class of 0."""
+        cls, zero = self.classes
+        return frozenset(np.flatnonzero(zero.sum(axis=1)[cls] == 1).tolist())
 
     @cached_property
     def zero_divisors_nonzero(self) -> frozenset[int]:
@@ -199,20 +207,9 @@ class FiniteRing:
         return len(self.units)
 
     def annihilator(self, x: int) -> frozenset[int]:
-        """ann(x) = {y : xy = 0}, always containing 0.  In a product it is
-        the product of the factors' annihilators of x's coordinates; in Z_n
-        it is the multiples of n / gcd(x, n); elsewhere the zeros of x's
-        table row.
-        """
+        """ann(x) = {y : xy = 0}, always containing 0, shared by x's class."""
         self._check_elem(x)
-        if self._zn_gcd is not None:
-            return frozenset(range(0, self.order, self.order // int(self._zn_gcd[x])))
-        if self.factors:
-            coords = _mixed_decode(np.int64(x), [f.order for f in self.factors])
-            return _product_set(
-                self.factors, [f.annihilator(int(c)) for f, c in zip(self.factors, coords)]
-            )
-        return frozenset(np.flatnonzero(self._table[x] == 0).tolist())
+        return self._annihilators[self.classes[0][x]]
 
     @cached_property
     def is_field(self) -> bool:
@@ -431,14 +428,6 @@ def _mixed_encode(parts: Sequence[np.ndarray], radices: Sequence[int]) -> np.nda
     for t, r in zip(parts, radices):
         out = out * r + t
     return out
-
-
-def _product_set(factors: Sequence[FiniteRing], parts: Sequence[frozenset[int]]) -> frozenset[int]:
-    """Indices of the product elements whose k-th coordinate lies in parts[k]."""
-    out = np.zeros(1, dtype=np.int64)
-    for f, part in zip(factors, parts):
-        out = (out[:, None] * f.order + np.fromiter(part, np.int64, len(part))[None, :]).ravel()
-    return frozenset(out.tolist())
 
 
 def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:

@@ -71,12 +71,19 @@ def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
     """Gamma(R), vertices in ascending element order, adjacent when their
     product vanishes.  Vertex labels are the element names, computed only
     when read.
+
+    The masks come from the ring's annihilator classes: the vertices a class
+    annihilates form one bitmask, and a vertex's neighbourhood is its
+    class's bitmask without its own bit.
     """
     elems = np.array(sorted(ring.zero_divisors_nonzero), dtype=np.int64)
-    adj = ring.zero_products(elems)
-    np.fill_diagonal(adj, False)
+    cls, zero = ring.classes
+    where = cls[elems]
+    rows = np.packbits(zero[:, where], axis=1, bitorder="little")
+    class_masks = [int.from_bytes(row, "little") for row in rows]
+    masks = [class_masks[c] & ~(1 << v) for v, c in enumerate(where.tolist())]
     labels = LazyLabels(len(elems), lambda i: ring.element_name(int(elems[i])))
-    g = Graph.from_adjacency(adj, labels, name=f"Gamma({ring.name})")
+    g = Graph.from_masks(masks, labels, name=f"Gamma({ring.name})")
     return ZdGraph(ring, g, tuple(elems.tolist()))
 
 

@@ -322,6 +322,9 @@ def test_config_file(tmp_path, capsys):
         ("ZDCODES_RING_CAP", "abc", ("tpc-decide", "Z12")),
         ("ZDCODES_RING_CAP", "-1", ("verify", "zn-sweep", "--max-n", "20", "--jobs", "1")),
         ("ZDCODES_RING_CAP", "2.5", ("ring-info", "Z4")),
+        ("ZDCODES_RING_CAP", "\u0663", ("tpc-decide", "Z12")),
+        ("ZDCODES_RING_CAP", "1_000", ("tpc-decide", "Z12")),
+        ("ZDCODES_RING_CAP", " 5", ("tpc-decide", "Z12")),
     ],
 )
 def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
@@ -331,7 +334,7 @@ def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
     assert err.count("\n") == 1 and var in err and repr(value) in err
 
 
-@pytest.mark.parametrize("value", ["many", -3, 4.5, True, None])
+@pytest.mark.parametrize("value", ["many", -3, 4.5, True, None, "\u0663", "1_000", " 5"])
 def test_bad_config_value_is_named(tmp_path, capsys, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ring_cap": value}))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_rings import quotients
 
-from zdcodes import suites, tables, zdg
+from zdcodes import config, suites, tables, zdg
 from zdcodes.graphs import Graph, LazyLabels, bits, diameter
 from zdcodes.ringexpr import ring_from_text
 from zdcodes.rings import RingError, make_gf, make_product, make_quotient, make_zn
@@ -49,9 +50,27 @@ def test_gamma_shapes():
     assert zero_divisor_graph(make_zn(7)).graph.n == 0
 
 
+def test_gamma_of_an_order_25200_product_builds_in_a_second():
+    # 19,439 vertices in 90 annihilator classes: no |Z*| x |Z*| matrix
+    config.set_override(25200)
+    try:
+        ring = make_product([make_zn(k) for k in (16, 9, 25, 7)])
+        t0 = time.perf_counter()
+        z = zero_divisor_graph(ring)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        config.set_override(None)
+    assert z.graph.n == 25200 - 1 - 8 * 6 * 20 * 6
+    elems = np.array(z.elements, dtype=np.int64)
+    for v in (0, z.graph.n // 2, z.graph.n - 1):
+        row = set(np.flatnonzero(ring.vec_mul(elems[v], elems) == 0).tolist()) - {v}
+        assert set(bits(z.graph.neighbor_masks[v])) == row
+
+
 def _small_rings():
-    """Z_n, products of two or three small factors, and the catalog table
-    rings alone or times a field."""
+    """Z_n, products of two or three small factors, the catalog table rings
+    alone or times a field, random monic quotients, and a quotient times a
+    small factor."""
     factor = st.sampled_from([make_zn(k) for k in (2, 3, 4, 6, 8, 9)] + [make_gf(2, 2)])
     catalog = st.sampled_from(tables.catalog_names()).map(tables.catalog_ring)
     return st.one_of(
@@ -59,7 +78,23 @@ def _small_rings():
         st.lists(factor, min_size=2, max_size=3).map(make_product),
         catalog,
         st.tuples(catalog, st.sampled_from([make_zn(2), make_zn(3)])).map(list).map(make_product),
+        quotients(),
+        st.tuples(quotients(max_order=64), factor).map(list).map(make_product),
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_rings())
+def test_class_view_matches_multiplication_rows(ring):
+    # classes are the zero patterns of the multiplication rows, their matrix
+    # decides every product, and 0 is alone in its class
+    idx = np.arange(ring.order)
+    mul = ring.vec_mul(idx[:, None], idx[None, :]) == 0
+    cls, zero = ring.classes
+    rows = np.unique(mul, axis=0, return_inverse=True)[1]
+    assert len(set(zip(cls.tolist(), rows.tolist()))) == len(set(cls.tolist())) == rows.max() + 1
+    assert np.array_equal(zero[np.ix_(cls, cls)], mul)
+    assert np.flatnonzero(cls == cls[0]).tolist() == [0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -68,7 +103,7 @@ def test_mask_built_gamma_matches_validating_constructor(ring):
     z = zero_divisor_graph(ring)
     elems = np.array(z.elements, dtype=np.int64)
     assert list(elems) == sorted(ring.zero_divisors_nonzero)
-    adj = ring.zero_products(elems)
+    adj = ring.vec_mul(elems[:, None], elems[None, :]) == 0
     labels = LazyLabels(len(elems), lambda i: ring.element_name(int(elems[i])))
     ref = Graph(len(elems), zip(*np.nonzero(np.triu(adj, 1))), labels, name=f"Gamma({ring.name})")
     assert z.graph.neighbor_masks == ref.neighbor_masks
