@@ -193,16 +193,22 @@ def _parse_graph_target(target: str) -> graphs.Graph | None:
     if target == "fig1":
         return graphs.fixture_graph8()
     head, _, rest = target.partition(":")
-    try:
+    try:  # each vertex count is checked before any edge or mask is built
         if head in ("path", "cycle", "complete", "star"):
-            return getattr(graphs, f"make_{head}")(int(rest))
+            n = int(rest)
+            graphs.check_vertices(n + (head == "star"))
+            return getattr(graphs, f"make_{head}")(n)
         if head == "kmn":
             sizes = rest.split(",")
             if len(sizes) != 2:
                 raise ValueError("expected kmn:m,n")
-            return graphs.make_complete_bipartite(*map(int, sizes))
+            m, n = map(int, sizes)
+            graphs.check_vertices(m + n)
+            return graphs.make_complete_bipartite(m, n)
         if head == "corona" and rest.startswith("path:"):
-            return graphs.corona(graphs.make_path(int(rest.split(":")[1])), graphs.make_complete(1))
+            n = int(rest.split(":")[1])
+            graphs.check_vertices(2 * n)
+            return graphs.corona(graphs.make_path(n), graphs.make_complete(1))
         if head == "file":
             with open(rest, "r", encoding="utf-8") as fh:
                 return graphs.from_json(fh.read(), name=rest)
@@ -268,6 +274,20 @@ def cmd_verify(args) -> int:
         if value is not None and value < 0:
             raise ValueError(f"verify: {flag} must be nonnegative, got {value}")
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
+    # sizes are refused before any suite runs: graphs by the vertex bound,
+    # rings by the ring cap in effect
+    cap = config.current()
+    upper = {
+        "paths": ("--max-n", args.max_n, graphs.MAX_VERTICES, "vertex bound"),
+        "cycles": ("--max-n", args.max_n, graphs.MAX_VERTICES, "vertex bound"),
+        "zn-sweep": ("--max-n", args.max_n, cap, "ring cap"),
+        "mixed-products": ("--max-order", args.max_order, cap, "ring cap"),
+    }
+    for name in names:
+        if name in upper:
+            flag, value, bound, what = upper[name]
+            if value is not None and value > bound:
+                raise ValueError(f"verify {name}: {flag} {value} exceeds the {what} {bound}")
     worst = 0
     reports = []
     for name in names:

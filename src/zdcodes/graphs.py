@@ -15,13 +15,23 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from functools import cached_property
+from numbers import Integral
 from typing import Callable
-
-import numpy as np
 
 
 class GraphError(ValueError):
     pass
+
+
+#: the most vertices of a graph read from outside the program (a graph
+#: target, a graph file, a grown tree); larger ones are refused before any
+#: edge or mask is built.  Gamma(R) is bounded by the ring cap instead.
+MAX_VERTICES = 4096
+
+
+def check_vertices(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the vertex bound {MAX_VERTICES}")
 
 
 class LazyLabels(Mapping):
@@ -38,7 +48,7 @@ class LazyLabels(Mapping):
         return self._name(v)
 
     def __contains__(self, v) -> bool:
-        return isinstance(v, (int, np.integer)) and 0 <= v < self._n
+        return isinstance(v, Integral) and 0 <= v < self._n
 
     def __iter__(self):
         return iter(range(self._n))
@@ -356,13 +366,15 @@ def make_cycle(n: int) -> Graph:
 def make_complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs n >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], name=f"K{n}")
+    full = (1 << n) - 1
+    return Graph.from_masks([full ^ 1 << v for v in range(n)], name=f"K{n}")
 
 
 def make_complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise GraphError("complete bipartite needs m, n >= 1")
-    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)], name=f"K{m},{n}")
+    left, right = (1 << m) - 1, ((1 << n) - 1) << m
+    return Graph.from_masks([right] * m + [left] * n, name=f"K{m},{n}")
 
 
 def make_star(n: int) -> Graph:
@@ -423,6 +435,7 @@ def from_json_obj(obj: dict, name: str = "G") -> Graph:
                     f"'labels' must map decimal vertex numbers to strings, got {k!r}: {v!r}"
                 )
         labels = {int(k): v for k, v in labels.items()}
+    check_vertices(obj["n"])
     return Graph(obj["n"], [tuple(e) for e in edges], labels, name)
 
 

@@ -31,9 +31,8 @@ import itertools
 from functools import cached_property
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import config
+from ._numpy import np
 
 
 class RingError(ValueError):
@@ -70,7 +69,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-VecOp = Callable[[np.ndarray, np.ndarray], np.ndarray]
+VecOp = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
 class FiniteRing:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -596,6 +595,8 @@ def _fan_out(fn, items, jobs: int):
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(items) < 4:
         return [fn(item) for item in items]
+    import multiprocessing  # only a fan-out forks; loaded on first use
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .rings import (
     FiniteRing, RingError, _check_cap, _mixed_decode, _mixed_encode, bilinear_ops,
 )

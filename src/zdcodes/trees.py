@@ -26,19 +26,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, bits, corona, make_complete, make_path
+from .graphs import MAX_VERTICES, Graph, bits, corona, make_complete, make_path
 from .tpc import is_total_perfect_code, tree_tpc
 
 OPS = ("A1", "A2", "A3", "A4")
 
-#: the most vertices a grown tree may have; larger traces and budgets are
-#: refused before any growth
-MAX_TREE_VERTICES = 4096
-
 
 def _check_size(vertices: int, what: str) -> None:
-    if vertices > MAX_TREE_VERTICES:
-        raise ValueError(f"{what} {vertices} exceeds the tree bound {MAX_TREE_VERTICES}")
+    """A grown tree has at most `graphs.MAX_VERTICES` vertices; larger
+    traces and budgets are refused before any growth."""
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"{what} {vertices} exceeds the tree bound {MAX_VERTICES}")
 
 
 class StepPreconditionError(ValueError):

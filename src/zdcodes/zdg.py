@@ -18,11 +18,11 @@ empty witness and a note.
 
 from __future__ import annotations
 
-import numpy as np
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import config, kernels
+from ._numpy import np
 from .graphs import Graph, LazyLabels, articulation_points
 from .rings import (
     FiniteRing,

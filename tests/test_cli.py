@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -205,6 +208,37 @@ def test_negative_tree_counts_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "nonnegative" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "zn-sweep", "--max-n", "5000"), "--max-n 5000 exceeds the ring cap 4096"),
+        (("verify", "zn-sweep", "--max-n", "99999999"), "--max-n 99999999 exceeds the ring cap"),
+        (("verify", "mixed-products", "--max-order", "5000"), "--max-order 5000 exceeds the ring cap"),
+        (("verify", "paths", "--max-n", "5000"), "--max-n 5000 exceeds the vertex bound 4096"),
+        (("verify", "cycles", "--max-n", "100000000"), "--max-n 100000000 exceeds the vertex bound"),
+        (("verify", "all", "--max-n", "99999999"), "exceeds the vertex bound 4096"),
+        (("verify", "all", "--max-order", "5000"), "--max-order 5000 exceeds the ring cap 4096"),
+    ],
+    ids=["zn-sweep", "zn-sweep-huge", "mixed-products", "paths", "cycles", "all-max-n",
+         "all-max-order"],
+)
+def test_sizes_above_their_bound_exit_1_at_once(capsys, argv, named):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5  # refused before any suite runs
+    assert code == 1 and out == ""
+    assert err.startswith("error: verify ") and named in err and err.count("\n") == 1
+
+
+def test_ring_suite_sizes_follow_the_ring_cap_in_effect(capsys, monkeypatch):
+    monkeypatch.setenv("ZDCODES_RING_CAP", "8")
+    code, out, err = run(capsys, "verify", "zn-sweep", "--max-n", "10", "--jobs", "1")
+    assert code == 1 and err == "error: verify zn-sweep: --max-n 10 exceeds the ring cap 8\n"
+    monkeypatch.setenv("ZDCODES_RING_CAP", "10")
+    code, out, _ = run(capsys, "verify", "zn-sweep", "--max-n", "10", "--jobs", "1", "--json")
+    assert code == 0 and json.loads(out)[0]["instances"] == 7
 
 
 @pytest.mark.parametrize("suite", ["paths", "zn-sweep"])
@@ -553,6 +587,82 @@ def test_bad_trace_file_exits_1(tmp_path, capsys, obj):
     assert time.perf_counter() - start < 0.5  # refused before the tree is grown
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "target, vertices",
+    [
+        ("path:5000", 5000),
+        ("path:99999999999", 99999999999),
+        ("cycle:4097", 4097),
+        ("complete:100000000", 100000000),
+        ("star:4096", 4097),
+        ("star:5000000", 5000001),
+        ("kmn:1,99999999", 100000000),
+        ("corona:path:2049", 4098),
+        ("corona:path:3000000", 6000000),
+        ("file", 300000000),
+    ],
+)
+def test_graph_above_the_vertex_bound_exits_1_at_once(tmp_path, capsys, target, vertices):
+    if target == "file":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": vertices, "edges": []}))
+        target = f"file:{path}"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tpc-decide", target)
+    assert time.perf_counter() - start < 0.5  # refused before any edge or mask is built
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: bad graph target {target!r}: {vertices} vertices exceed the vertex bound 4096\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["path:4096", "star:4095", "kmn:2048,2048", "corona:path:2048"])
+def test_graph_at_the_vertex_bound_is_built(target):
+    from zdcodes.cli import _parse_graph_target
+
+    assert _parse_graph_target(target).n == 4096
+
+
+#: graph-only commands, then one ring command, in one fresh interpreter
+_GRAPH_ONLY = """
+import contextlib, io, json, sys
+from zdcodes import cli, suites
+
+suites.known_findings()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith(("numpy.", "multiprocessing")))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["tpc-decide", "Z12", "--json"])
+print(json.dumps({"loaded": loaded, "code": code, "stdout": out.getvalue()}))
+"""
+
+
+def test_graph_commands_never_load_numpy_or_multiprocessing():
+    argvs = [
+        ["verify", "trees", "--samples", "60", "--traces", "20", "--probe-max", "6"],
+        ["verify", "paths"],
+        ["verify", "cycles"],
+        ["tree-gen", "--random", "3", "40"],
+        ["tpc-decide", "path:9"],
+        ["tpc-decide", "fig1"],
+        ["tpc-decide", f"file:{DECIDE / 'path4.json'}"],
+    ]
+    src = str(Path(config.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRAPH_ONLY, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    # numpy loads with the first ring, which then runs exactly as recorded
+    (z12,) = [r for r in DECIDE_RECORDS if r["argv"] == ["tpc-decide", "Z12", "--json"]]
+    assert (got["code"], got["stdout"]) == (z12["exit_code"], z12["stdout"])
 
 
 def test_verify_unexpected_discrepancy_exits_2(capsys, monkeypatch):

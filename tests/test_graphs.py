@@ -2,6 +2,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from zdcodes import graphs, suites
 from zdcodes.graphs import (
     Graph,
     GraphError,
+    LazyLabels,
     articulation_points,
     bits,
     corona,
@@ -38,6 +40,22 @@ def test_generator_edge_counts():
     for m in range(1, 5):
         for n in range(1, 5):
             assert len(make_complete_bipartite(m, n).edges) == m * n
+
+
+def test_mask_built_generators_match_the_edge_built_graphs():
+    for n in range(1, 13):
+        ref = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], name=f"K{n}")
+        assert make_complete(n) == ref and make_complete(n).name == ref.name
+        for m in range(1, 13):
+            ref = Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)], name=f"K{m},{n}")
+            assert make_complete_bipartite(m, n) == ref
+            assert make_complete_bipartite(m, n).name == ref.name
+
+
+def test_lazy_labels_take_any_integer_vertex():
+    labels = LazyLabels(5, str)
+    assert np.int64(3) in labels and np.uint8(4) in labels
+    assert 3.0 not in labels and 5 not in labels and "3" not in labels
 
 
 def test_corona_counts():

@@ -340,3 +340,13 @@ def test_quotient_structure_matches_brute_force(ring):
     for x in range(n):
         assert ring.annihilator(x) == frozenset(np.flatnonzero(mul[x] == 0).tolist()), x
     assert np.array_equal(class_zero_products(ring, idx), mul == 0)
+
+
+def test_lazy_numpy_fails_at_import_like_import_does():
+    from zdcodes import _numpy
+
+    with pytest.raises(ModuleNotFoundError) as want:
+        import zdcodes_no_such_module  # noqa: F401
+    with pytest.raises(ModuleNotFoundError) as got:
+        _numpy._lazy("zdcodes_no_such_module")
+    assert (str(got.value), got.value.name) == (str(want.value), want.value.name)
