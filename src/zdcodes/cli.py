@@ -189,24 +189,31 @@ def cmd_zdg_export(args) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    """A graph target's size: ASCII decimal digits only, as for the ring cap."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"size {text!r} is not a decimal number")
+    return int(text)
+
+
 def _parse_graph_target(target: str) -> graphs.Graph | None:
     if target == "fig1":
         return graphs.fixture_graph8()
     head, _, rest = target.partition(":")
     try:  # each vertex count is checked before any edge or mask is built
         if head in ("path", "cycle", "complete", "star"):
-            n = int(rest)
+            n = _size(rest)
             graphs.check_vertices(n + (head == "star"))
             return getattr(graphs, f"make_{head}")(n)
         if head == "kmn":
             sizes = rest.split(",")
             if len(sizes) != 2:
                 raise ValueError("expected kmn:m,n")
-            m, n = map(int, sizes)
+            m, n = map(_size, sizes)
             graphs.check_vertices(m + n)
             return graphs.make_complete_bipartite(m, n)
         if head == "corona" and rest.startswith("path:"):
-            n = int(rest.split(":")[1])
+            n = _size(rest.removeprefix("path:"))
             graphs.check_vertices(2 * n)
             return graphs.corona(graphs.make_path(n), graphs.make_complete(1))
         if head == "file":

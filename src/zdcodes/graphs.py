@@ -134,17 +134,22 @@ class Graph:
 
     @classmethod
     def from_masks(
-        cls, masks, labels: Mapping[int, str] | None = None, name: str = "G"
+        cls, masks, labels: Mapping[int, str] | None = None, name: str = "G", twins=None
     ) -> "Graph":
         """The graph whose vertex v has neighbourhood bitmask `masks[v]`,
-        unchecked: the masks must be symmetric with clear diagonal bits."""
+        unchecked: the masks must be symmetric with clear diagonal bits.
+        `twins`, when given, must be `twin_map(masks)` in its order and
+        becomes `Graph.twins`: Gamma(R) reads its twin classes off the
+        annihilator classes and counts them (`zdg.zero_divisor_graph`)."""
         g = cls.__new__(cls)
         g._setup(tuple(masks), labels, name)
+        if twins is not None:
+            g.__dict__["twins"] = twins
         return g
 
     def _setup(self, masks: tuple[int, ...], labels, name: str) -> None:
         n = len(masks)
-        if labels is not None:
+        if labels is not None and not (isinstance(labels, LazyLabels) and len(labels) == n):
             bad = [v for v in labels if not (0 <= v < n)]
             if bad:
                 raise GraphError(f"label for unknown vertex {bad[0]}")
@@ -227,7 +232,8 @@ class Graph:
 
     @cached_property
     def twins(self) -> dict[int, int]:
-        """`twin_map` of the neighbourhood masks, built once per graph."""
+        """`twin_map` of the neighbourhood masks, built once per graph
+        unless `from_masks` was given it."""
         return twin_map(self.neighbor_masks)
 
     def is_tree(self) -> bool:

@@ -29,7 +29,12 @@ each code it finds lifts to every choice of one member per chosen class
 representative code is the least code.  In Γ(R) the elements with one
 annihilator and a nonzero square are twins, so the search runs on about as
 many vertices as the compressed zero-divisor graph on annihilator classes
-has (Spiroff and Wickham, Comm. Algebra 39, 2011).
+has (Spiroff and Wickham, Comm. Algebra 39, 2011).  `zdg.zero_divisor_graph`
+reads Γ(R)'s twin map off those classes without hashing a mask per
+vertex: one class per annihilator class with nonzero square, and a
+singleton per element with zero square.  It counts the classes it forms and
+raises when the map holds fewer masks, so the search never runs on a twin
+map that is not its masks' own.
 """
 
 from __future__ import annotations

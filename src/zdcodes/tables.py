@@ -15,11 +15,13 @@ The package ships eight fixture files: the seven exceptional local rings of
 order 16 whose graphs have cut vertices but no total perfect code, plus the
 order-8 local ring with squared-radical zero used by the mixed-product
 examples.  Fixture files carry name/moduli/one/products and are addressable
-from ring expressions as "@<slug>".
+from ring expressions as "@<slug>"; each is read, checked and built once
+per process.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -219,4 +221,13 @@ def load_catalog_spec(name: str) -> TableRingSpec:
 
 
 def catalog_ring(name: str) -> FiniteRing:
-    return make_table_ring(load_catalog_spec(name))
+    """The packaged ring `name`, matched case-insensitively, built once per
+    process; the ring cap in effect is checked on every request."""
+    ring = _catalog_ring(_slug_lookup(name))
+    _check_cap(ring.order)
+    return ring
+
+
+@functools.cache
+def _catalog_ring(slug: str) -> FiniteRing:
+    return make_table_ring(load_catalog_spec(slug))

@@ -72,19 +72,52 @@ def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
     product vanishes.  Vertex labels are the element names, computed only
     when read.
 
-    The masks come from the ring's annihilator classes: the vertices a class
-    annihilates form one bitmask, and a vertex's neighbourhood is its
-    class's bitmask without its own bit.
+    Everything is read off the ring's annihilator classes in one pass.  The
+    vertices are the nonzero elements whose class annihilates more than the
+    class of 0.  Each class's neighbourhood bitmask is one int, shared by
+    its vertices when its square is nonzero; a vertex with x^2 = 0 gets it
+    without its own bit.  The twin map (`Graph.twins`) is then one class per
+    annihilator class with nonzero square and a singleton per vertex with
+    zero square, by least vertex: equal neighbourhoods force equal
+    annihilators once Gamma(R) is connected (Anderson and Livingston).  The
+    classes formed are counted, and a map with fewer keys is an error.
     """
-    elems = np.array(sorted(ring.zero_divisors_nonzero), dtype=np.int64)
     cls, zero = ring.classes
+    vertex_class = zero.sum(axis=1) > 1  # annihilates more than the class of 0
+    vertex_class[cls[0]] = False
+    elems = np.flatnonzero(vertex_class[cls])
     where = cls[elems]
-    rows = np.packbits(zero[:, where], axis=1, bitorder="little")
-    class_masks = [int.from_bytes(row, "little") for row in rows]
-    masks = [class_masks[c] & ~(1 << v) for v, c in enumerate(where.tolist())]
-    labels = LazyLabels(len(elems), lambda i: ring.element_name(int(elems[i])))
-    g = Graph.from_masks(masks, labels, name=f"Gamma({ring.name})")
-    return ZdGraph(ring, g, tuple(elems.tolist()))
+    in_class = np.zeros((len(zero), len(where)), dtype=bool)
+    in_class[where, np.arange(len(where))] = True
+    # packbits is fast along C-contiguous rows, which a column gather is not
+    pack = lambda bools: np.packbits(np.ascontiguousarray(bools), axis=1, bitorder="little")
+    class_masks = [int.from_bytes(row.tobytes(), "little") for row in pack(zero[:, where])]
+    members = pack(in_class)  # each class's vertices
+    clique = np.diagonal(zero).tolist()  # x^2 = 0 in the class
+    unseen = [True] * len(zero)
+    masks: list[int] = []
+    twins: dict[int, int] = {}
+    formed = 0
+    for v, c in enumerate(where.tolist()):
+        m = class_masks[c]
+        if clique[c]:
+            m ^= 1 << v
+            twins[m] = 1 << v
+            formed += 1
+        elif unseen[c]:
+            unseen[c] = False
+            twins[m] = int.from_bytes(members[c].tobytes(), "little")
+            formed += 1
+        masks.append(m)
+    if len(twins) != formed:
+        raise RingError(
+            f"the annihilator classes of {ring.name} give {formed} twin classes "
+            f"but {len(twins)} distinct neighbourhoods"
+        )
+    elements = tuple(elems.tolist())
+    labels = LazyLabels(len(elements), lambda i: ring.element_name(elements[i]))
+    g = Graph.from_masks(masks, labels, name=f"Gamma({ring.name})", twins=twins)
+    return ZdGraph(ring, g, elements)
 
 
 def cap_ann(ring: FiniteRing, x: int) -> frozenset[int]:

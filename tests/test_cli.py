@@ -428,6 +428,19 @@ def test_catalog_ring_through_expression(capsys):
     assert code == 0 and "does not admit" in out
 
 
+def test_catalog_requests_repeat_byte_for_byte(capsys, monkeypatch):
+    # the second call reads the catalog rings the first one built
+    argv = ["tpc-decide", "@Z2XY-RAD2 x @Z2XY-RAD2 x Z3", "--json"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0 and json.loads(first[1])["consensus"]
+    monkeypatch.chdir(DECIDE)
+    for record in DECIDE_RECORDS:
+        if "@" in record["argv"][1]:
+            for _ in range(2):
+                got = run(capsys, *record["argv"])
+                assert got == (record["exit_code"], record["stdout"], record["stderr"])
+
+
 def test_decider_discrepancy_exits_2(capsys, monkeypatch):
     import zdcodes.cli as cli_mod
 
@@ -499,6 +512,25 @@ def test_bad_table_spec_file_exits_1(tmp_path, capsys, obj, message):
     code, out, err = run(capsys, "tpc-decide", f"table:{path}")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "target, size",
+    [
+        ("corona:path:3:junk", "3:junk"),
+        ("path:1_0", "1_0"),
+        ("path: 8", " 8"),
+        ("kmn:+2,3", "+2"),
+        ("star:٣", "٣"),
+        ("cycle:-4", "-4"),
+        ("complete:", ""),
+        ("kmn:2,3 ", "3 "),
+    ],
+)
+def test_graph_target_sizes_are_ascii_decimal_digits(capsys, target, size):
+    code, out, err = run(capsys, "tpc-decide", target)
+    assert code == 1 and out == ""
+    assert err == f"error: bad graph target {target!r}: size {size!r} is not a decimal number\n"
 
 
 @pytest.mark.parametrize("target", ["kmn:1", "kmn:1,2,3", "kmn:"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from zdcodes import tables
+from zdcodes import config, tables
 from zdcodes.rings import (
     FiniteRing, RingError, _mixed_encode, _quotient_products, bilinear_ops, make_quotient,
 )
@@ -40,6 +40,30 @@ def test_supplementary_fixture():
 
 def test_case_insensitive_lookup():
     assert catalog_ring("z8x-2x-x2p4").name == catalog_ring("Z8X-2X-X2p4").name
+
+
+def test_catalog_rings_are_built_once_per_process(monkeypatch):
+    assert catalog_ring("z4x-x2") is catalog_ring("Z4X-X2")
+    rings = {slug: catalog_ring(slug.lower()) for slug in tables.catalog_names()}
+
+    def refuse(*args):
+        raise AssertionError("catalog ring rebuilt")
+
+    monkeypatch.setattr(tables, "load_catalog_spec", refuse)
+    monkeypatch.setattr(tables, "make_table_ring", refuse)
+    for slug, ring in rings.items():
+        assert catalog_ring(slug.upper()) is ring
+
+
+def test_cached_catalog_rings_still_meet_the_cap():
+    catalog_ring("Z4X-X2")
+    config.set_override(8)
+    try:
+        with pytest.raises(RingError, match="ring order 16 exceeds the cap 8"):
+            catalog_ring("Z4X-X2")
+        assert catalog_ring("Z2XY-RAD2").order == 8
+    finally:
+        config.set_override(None)
 
 
 def test_unknown_name_lists_known():

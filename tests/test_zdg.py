@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_rings import quotients
 
 from zdcodes import config, suites, tables, zdg
-from zdcodes.graphs import Graph, LazyLabels, bits, diameter
+from zdcodes.graphs import Graph, LazyLabels, bits, diameter, twin_map
 from zdcodes.ringexpr import ring_from_text
 from zdcodes.rings import RingError, make_gf, make_product, make_quotient, make_zn
 from zdcodes.tpc import find_tpc
@@ -113,6 +113,102 @@ def test_mask_built_gamma_matches_validating_constructor(ring):
     # the sweep's edge is the first edge that ring arithmetic calls a code
     first = next((e for e in ref.edges if zdg.is_code_pair(ring, *z.to_elements(e))), None)
     assert z.code_pair == first
+
+
+def _zero_table(ring):
+    """zero[x, y]: xy = 0, from the multiplication table; a product's from
+    its factors' tables, coordinate by coordinate."""
+    if ring.factors:
+        zero = np.ones((1, 1), dtype=bool)
+        for f in ring.factors:
+            fz = _zero_table(f)
+            k, j = len(zero), len(fz)
+            zero = (zero[:, None, :, None] & fz[None, :, None, :]).reshape(k * j, k * j)
+        return zero
+    idx = np.arange(ring.order)
+    return ring.vec_mul(idx[:, None], idx[None, :]) == 0
+
+
+def _element_gamma(ring):
+    """(elements, masks) of Gamma(R) by the element-level definition: the
+    nonzero x with xy = 0 for some nonzero y, N(x) = ann(x) minus {0, x}."""
+    zero = _zero_table(ring)
+    elements = tuple(np.flatnonzero(zero[:, 1:].any(axis=1))[1:].tolist())
+    adj = zero[np.ix_(elements, elements)]
+    np.fill_diagonal(adj, False)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return elements, masks
+
+
+def assert_gamma_matches_elements(ring):
+    z = zero_divisor_graph(ring)
+    elements, masks = _element_gamma(ring)
+    assert z.elements == elements, ring.name
+    assert z.graph.neighbor_masks == masks, ring.name
+    # the twin classes read off the annihilator classes are the masks' own
+    assert list(z.graph.twins.items()) == list(twin_map(masks).items()), ring.name
+
+
+def test_gamma_of_every_zn_to_600_matches_the_element_definition():
+    for n in range(2, 601):
+        assert_gamma_matches_elements(make_zn(n))
+
+
+def test_gamma_of_every_mixed_product_to_512_matches_the_element_definition():
+    locals_, fields_ = suites._mixed_pools()
+    instances = list(suites._mixed_instances(512))
+    assert len(instances) == 1537
+    for lc, fc in instances:
+        factors = [locals_[i] for i in lc] + [fields_[i] for i in fc]
+        assert_gamma_matches_elements(make_product(factors))
+
+
+def test_gamma_of_every_catalog_ring_matches_the_element_definition():
+    for slug in tables.catalog_names():
+        assert_gamma_matches_elements(tables.catalog_ring(slug))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients())
+def test_gamma_of_monic_quotients_matches_the_element_definition(ring):
+    assert_gamma_matches_elements(ring)
+
+
+def test_twin_classes_that_share_a_mask_are_refused():
+    # Z6 with {2, 4} split into two classes of one annihilator: vertices 2
+    # and 4 then form two twin classes with the one neighbourhood {3}
+    ring = make_zn(6)
+    cls, zero = ring.classes
+    split = len(zero)
+    cls = cls.copy()
+    cls[4] = split
+    zero = np.pad(zero, ((0, 1), (0, 1)))
+    zero[split, :] = zero[cls[2], :]
+    zero[:, split] = zero[:, cls[2]]
+    ring.__dict__["classes"] = cls, zero
+    with pytest.raises(RingError, match="3 twin classes but 2 distinct neighbourhoods"):
+        zero_divisor_graph(ring)
+
+
+def test_gamma_is_read_off_the_class_view_alone(monkeypatch):
+    # no element-level detour: no hashed twin map, no Z*(R) or unit set
+    from zdcodes import graphs
+    from zdcodes.rings import FiniteRing
+
+    def refuse(*args):
+        raise AssertionError("element-level detour")
+
+    monkeypatch.setattr(graphs, "twin_map", refuse)
+    for name in ("zero_divisors_nonzero", "units"):
+        monkeypatch.setattr(FiniteRing, name, property(refuse))
+    table = tables.make_table_ring(tables.load_catalog_spec("Z4X-X2"))  # not the cached one
+    rings = [make_zn(3600), make_product([make_zn(4), make_zn(8), make_gf(2, 2)])]
+    rings += [make_quotient(4, (0, 2, 1)), table]
+    for ring in rings:
+        z = zero_divisor_graph(ring)
+        assert z.graph.n > 0 and z.graph.twins
+        z.code_pair, z.least_code  # the sweep and the search read that twin map
 
 
 def test_cap_ann():
