@@ -190,10 +190,11 @@ def cmd_zdg_export(args) -> int:
 
 
 def _size(text: str) -> int:
-    """A graph target's size: ASCII decimal digits only, as for the ring cap."""
-    if not (text.isascii() and text.isdecimal()):
+    """A graph target's size, in `config.decimal` digits."""
+    n = config.decimal(text)
+    if n is None:
         raise ValueError(f"size {text!r} is not a decimal number")
-    return int(text)
+    return n
 
 
 def _parse_graph_target(target: str) -> graphs.Graph | None:

@@ -20,13 +20,18 @@ ENV_VARS = {
 }
 
 
+def decimal(text: str) -> int | None:
+    """The int written by `text` in ASCII decimal digits alone (no sign,
+    space, underscore or other digits), else None."""
+    return int(text) if text.isascii() and text.isdecimal() else None
+
+
 def _cap(raw, source: str) -> int:
     """A cap value as an int; anything but a non-negative integer (or its
-    ASCII decimal text: no sign, space, underscore or other digits) is a
-    ValueError that names `source`."""
+    `decimal` text) is a ValueError that names `source`."""
     value = None
-    if isinstance(raw, str) and raw.isascii() and raw.isdecimal():
-        value = int(raw)
+    if isinstance(raw, str):
+        value = decimal(raw)
     elif isinstance(raw, int) and not isinstance(raw, bool):
         value = raw
     if value is None or value < 0:

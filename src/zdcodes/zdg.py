@@ -87,16 +87,15 @@ def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
     vertex_class[cls[0]] = False
     elems = np.flatnonzero(vertex_class[cls])
     where = cls[elems]
-    in_class = np.zeros((len(zero), len(where)), dtype=bool)
-    in_class[where, np.arange(len(where))] = True
-    # packbits is fast along C-contiguous rows, which a column gather is not
-    pack = lambda bools: np.packbits(np.ascontiguousarray(bools), axis=1, bitorder="little")
-    class_masks = [int.from_bytes(row.tobytes(), "little") for row in pack(zero[:, where])]
-    members = pack(in_class)  # each class's vertices
+    # zero is symmetric, so its rows at the vertices, packed down the vertex
+    # axis, hold each class's bits with no classes x vertices copy besides
+    packed = np.packbits(zero[where], axis=0, bitorder="little")
+    class_masks = [int.from_bytes(col.tobytes(), "little") for col in packed.T]
     clique = np.diagonal(zero).tolist()  # x^2 = 0 in the class
-    unseen = [True] * len(zero)
+    members = [0] * len(zero)  # each class's vertices, as bits
     masks: list[int] = []
     twins: dict[int, int] = {}
+    firsts: list[int] = []  # the classes with nonzero square, by least vertex
     formed = 0
     for v, c in enumerate(where.tolist()):
         m = class_masks[c]
@@ -104,16 +103,20 @@ def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
             m ^= 1 << v
             twins[m] = 1 << v
             formed += 1
-        elif unseen[c]:
-            unseen[c] = False
-            twins[m] = int.from_bytes(members[c].tobytes(), "little")
-            formed += 1
+        else:
+            if not members[c]:
+                twins[m] = 0  # filled in below; the key keeps its place
+                firsts.append(c)
+                formed += 1
+            members[c] |= 1 << v
         masks.append(m)
     if len(twins) != formed:
         raise RingError(
             f"the annihilator classes of {ring.name} give {formed} twin classes "
             f"but {len(twins)} distinct neighbourhoods"
         )
+    for c in firsts:
+        twins[class_masks[c]] = members[c]
     elements = tuple(elems.tolist())
     labels = LazyLabels(len(elements), lambda i: ring.element_name(elements[i]))
     g = Graph.from_masks(masks, labels, name=f"Gamma({ring.name})", twins=twins)

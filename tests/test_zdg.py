@@ -67,6 +67,27 @@ def test_gamma_of_an_order_25200_product_builds_in_a_second():
         assert set(bits(z.graph.neighbor_masks[v])) == row
 
 
+def test_gamma_of_many_classes_copies_the_class_matrix_at_most_once():
+    # Z2^11 has 2048 annihilator classes over 2046 vertices: one vertices x
+    # classes gather, no further matrix of that size (classes x vertices
+    # member bits, a contiguous copy of the gather)
+    import tracemalloc
+
+    config.set_override(2 ** 11)
+    try:
+        ring = make_product([make_zn(2)] * 11)
+        zero = ring.classes[1]
+        tracemalloc.start()
+        try:
+            zero_divisor_graph(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        config.set_override(None)
+    assert peak < 1.5 * zero.nbytes
+
+
 def _small_rings():
     """Z_n, products of two or three small factors, the catalog table rings
     alone or times a field, random monic quotients, and a quotient times a
