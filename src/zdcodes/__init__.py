@@ -44,7 +44,6 @@ from .tpc import (
 )
 from .zdg import (
     ZdGraph,
-    cap_ann,
     count_zero_divisors,
     cut_vertex_report,
     degree_one_vertices,
@@ -93,7 +92,6 @@ __all__ = [
     "regular_parity_check",
     "tree_tpc",
     "ZdGraph",
-    "cap_ann",
     "count_zero_divisors",
     "cut_vertex_report",
     "degree_one_vertices",

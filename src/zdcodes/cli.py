@@ -148,16 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ring_info(args) -> int:
     ring = ringexpr.ring_from_text(args.ring)
-    zdivs = sorted(ring.zero_divisors_nonzero)
+    size, ann = ring.class_sizes
     ann_sizes: dict[int, int] = {}
-    for x in zdivs:
-        s = len(ring.annihilator(x))
-        ann_sizes[s] = ann_sizes.get(s, 0) + 1
+    for s, k in zip(ann.tolist(), size.tolist()):
+        if 1 < s < ring.order:  # a class in Z*: neither the units' nor 0's
+            ann_sizes[s] = ann_sizes.get(s, 0) + k
     info = {
         "ring": ring.name,
         "order": ring.order,
         "units": ring.num_units,
-        "nonzero_zero_divisors": len(zdivs),
+        "nonzero_zero_divisors": ring.num_zero_divisors,
         "local": ring.is_local,
         "reduced": ring.is_reduced,
         "field": ring.is_field,

@@ -20,9 +20,13 @@ Elements with one annihilator are twins in Gamma(R), so each ring's
 structure is one view of its annihilator classes, `FiniteRing.classes`:
 each element's class and which pairs of classes multiply to zero.  The
 ring's kind decides only how that view is computed (Z_n from gcd(x, n), a
-product from its factors' views, any other ring from its table); units,
-annihilators and Gamma(R) all read it.  For every ring Z*(R) is the set of
-nonzero non-units, and R is local exactly when it has two idempotents.
+product from its factors' views, any other ring from its table).  Every
+structural count reads it: the class sizes give |ann(x)|, the unit count
+and |Z*(R)| (the nonzero non-units), R is a field exactly when it has two
+classes and reduced exactly when no nonzero class squares to zero, and
+Gamma(R) is built from it.  R is local exactly when it has two
+idempotents; that test still multiplies each element by itself, although
+the view could answer it too (ann(Z(R)) != 0).
 """
 
 from __future__ import annotations
@@ -174,24 +178,27 @@ class FiniteRing:
         return cls, self._table[np.ix_(reps, reps)] == 0
 
     @cached_property
-    def _annihilators(self) -> list[frozenset[int]]:
-        """ann(x) for x in each class: the members of the classes it
-        annihilates."""
+    def class_sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(size, ann): class c has size[c] members, and |ann(x)| = ann[c] for
+        x in it, the total size of the classes it annihilates.  The units are
+        the class with ann 1, 0's class the one with ann = order, and every
+        other class lies in Z*(R)."""
         cls, zero = self.classes
-        return [frozenset(np.flatnonzero(row[cls]).tolist()) for row in zero]
+        size = np.bincount(cls, minlength=len(zero))
+        # einsum casts `zero` in buffered chunks where `zero @ size` would
+        # copy all of it to integers (134 MB for Z2^12's 4,096 classes)
+        return size, np.einsum("cd,d->c", zero, size)
 
-    @cached_property
-    def units(self) -> frozenset[int]:
-        """The x with ann(x) = {0}: x's class annihilates only the class of 0."""
-        cls, zero = self.classes
-        return frozenset(np.flatnonzero(zero.sum(axis=1)[cls] == 1).tolist())
+    @property
+    def num_units(self) -> int:
+        size, ann = self.class_sizes
+        return int(size[ann == 1].sum())
 
-    @cached_property
-    def zero_divisors_nonzero(self) -> frozenset[int]:
-        """Z*(R): nonzero x with xy = 0 for some nonzero y.  Every element of
-        a finite ring is a unit or a zero divisor, so this is every nonzero
-        non-unit."""
-        return frozenset(range(1, self.order)) - self.units
+    @property
+    def num_zero_divisors(self) -> int:
+        """|Z*(R)|: every element of a finite ring is 0, a unit or a zero
+        divisor."""
+        return self.order - 1 - self.num_units
 
     def scan_zero_divisors(self) -> frozenset[int]:
         """Z*(R) by brute force over the multiplication rows, for any ring."""
@@ -201,21 +208,11 @@ class FiniteRing:
             hits.extend(xs[mask].tolist())
         return frozenset(hits)
 
-    @property
-    def num_units(self) -> int:
-        return len(self.units)
-
-    def annihilator(self, x: int) -> frozenset[int]:
-        """ann(x) = {y : xy = 0}, always containing 0, shared by x's class."""
-        self._check_elem(x)
-        return self._annihilators[self.classes[0][x]]
-
     @cached_property
     def is_field(self) -> bool:
-        """All nonzero elements are units; a product of two or more factors
-        never passes, since (1,0,...) is a nonzero non-unit.
-        """
-        return len(self.units) == self.order - 1
+        """Two classes: 0's and 1's, so every nonzero x has ann(x) = {0}
+        and is a unit.  A field has exactly those two."""
+        return len(self.classes[1]) == 2
 
     @cached_property
     def is_local(self) -> bool:
@@ -227,27 +224,17 @@ class FiniteRing:
 
     @cached_property
     def is_reduced(self) -> bool:
-        """No nonzero nilpotents: x^(2^ceil(log2 n)) vanishes iff x does.
-        A product is reduced exactly when every factor is, since powers are
-        taken coordinate-wise.
-        """
-        if self.factors:
-            return all(f.is_reduced for f in self.factors)
-        p = np.arange(self.order, dtype=np.int64)
-        steps = max(1, (self.order - 1).bit_length())
-        for _ in range(steps):
-            p = self.vec_mul(p, p)
-        return bool((p[1:] != 0).all())
+        """No nonzero nilpotents: 0's class is the only one whose square
+        vanishes.  If x^k = 0 with x != 0 and k >= 2 least, then
+        y = x^(k-1) is nonzero and y^2 = 0, as 2k - 2 >= k."""
+        return int(np.diagonal(self.classes[1]).sum()) == 1
 
     # -- presentation -------------------------------------------------------
 
     def element_name(self, x: int) -> str:
-        self._check_elem(x)
-        return self._elem_name(x)
-
-    def _check_elem(self, x: int) -> None:
         if not (0 <= x < self.order):
             raise RingError(f"element index {x} outside ring of order {self.order}")
+        return self._elem_name(x)
 
 
 def _check_cap(order: int) -> None:

@@ -224,7 +224,10 @@ def _grow(initial: int, next_step) -> BuildTrace:
     t = Graph.from_masks(make_path(initial).neighbor_masks, name=f"familyT({initial})")
     steps: list[TreeBuildStep] = []
     codes = [tree_tpc(t)]
-    assert codes[0] is not None
+    if codes[0] is None:
+        raise FamilyTraceFinding(
+            f"the starting path of length {initial} has no code", {"initial": initial, "steps": []}
+        )
     while (step := next_step(t, codes[-1])) is not None:
         code = codes[-1]
         # a vertex outside the tree is left to apply_step's range check
@@ -306,6 +309,18 @@ def corona_family(class_mod4: int, length: int) -> Graph:
     return corona(make_path(length), make_complete(1))
 
 
+def _caterpillar(
+    name: str, base: int, code: list[int], hung: list[int]
+) -> tuple[Graph, frozenset[int]]:
+    """The path on `base` vertices with one pendant on each vertex of
+    `hung`, and `code` once the verifier accepts it as its code."""
+    edges = list(make_path(base).edges) + [(v, base + i) for i, v in enumerate(hung)]
+    g = Graph(base + len(hung), edges, name=name)
+    if not is_total_perfect_code(g, frozenset(code)):
+        raise RuntimeError(f"the designated vertices of {name} are not a total perfect code")
+    return g, frozenset(code)
+
+
 def caterpillar_outer(k: int) -> tuple[Graph, frozenset[int]]:
     """Path of length 4k+6 with 2k+2 pendants on the leading outer-pair
     vertices {0,1,4,5,...}; that pair set is the code, verifier-checked.
@@ -314,14 +329,7 @@ def caterpillar_outer(k: int) -> tuple[Graph, frozenset[int]]:
         raise ValueError("k must be nonnegative")
     n = 4 * k + 6
     w = sorted(v for p in range(0, n, 4) for v in (p, p + 1))
-    t = make_path(n)
-    edges = list(t.edges)
-    for i, v in enumerate(w[: 2 * k + 2]):
-        edges.append((v, n + i))
-    g = Graph(n + 2 * k + 2, edges, name=f"caterpillar_outer({k})")
-    code = frozenset(w)
-    assert is_total_perfect_code(g, code)
-    return g, code
+    return _caterpillar(f"caterpillar_outer({k})", n, w, w[: 2 * k + 2])
 
 
 def caterpillar_inner(n: int) -> tuple[Graph, frozenset[int]]:
@@ -332,14 +340,7 @@ def caterpillar_inner(n: int) -> tuple[Graph, frozenset[int]]:
         raise ValueError("n must be positive")
     base = 4 * n - 1
     w = sorted(v for p in range(1, base - 1, 4) for v in (p, p + 1))
-    t = make_path(base)
-    edges = list(t.edges)
-    for i, v in enumerate(w):
-        edges.append((v, base + i))
-    g = Graph(base + len(w), edges, name=f"caterpillar_inner({n})")
-    code = frozenset(w)
-    assert is_total_perfect_code(g, code)
-    return g, code
+    return _caterpillar(f"caterpillar_inner({n})", base, w, w)
 
 
 # -- Pruefer sequences -----------------------------------------------------------

@@ -123,13 +123,6 @@ def zero_divisor_graph(ring: FiniteRing) -> ZdGraph:
     return ZdGraph(ring, g, elements)
 
 
-def cap_ann(ring: FiniteRing, x: int) -> frozenset[int]:
-    """ann(x) with 0 and x removed: exactly the graph neighbourhood of x."""
-    if x not in ring.zero_divisors_nonzero:
-        raise RingError(f"{ring.element_name(x)} is not a nonzero zero-divisor of {ring.name}")
-    return frozenset(ring.annihilator(x) - {0, x})
-
-
 def degree_one_vertices(z: ZdGraph) -> frozenset[int]:
     """Ring elements whose graph degree is exactly one."""
     return frozenset(z.elements[v] for v in range(z.graph.n) if z.graph.degree(v) == 1)
@@ -149,12 +142,32 @@ def ring_code_exact(z: ZdGraph) -> frozenset[int] | None:
     return z.to_elements(z.least_code) if z.least_code is not None else None
 
 
+def _vertex_classes(ring: FiniteRing) -> np.ndarray:
+    """Which annihilator classes lie in Z*(R), the vertices of Gamma(R):
+    those annihilating more than 0 (not the units) but not all of R (not 0)."""
+    ann = ring.class_sizes[1]
+    return (ann > 1) & (ann < ring.order)
+
+
+def _least_member(ring: FiniteRing, classes: np.ndarray) -> int:
+    """The least element whose class is marked in `classes`."""
+    return int(np.argmax(classes[ring.classes[0]]))
+
+
 def is_code_pair(ring: FiniteRing, a: int, b: int) -> bool:
-    """{a, b} is a total perfect code of Gamma(R), by ring arithmetic alone:
-    the neighbourhoods cap_ann(a) and cap_ann(b) are disjoint and together
-    are all of Z*(R)."""
-    na, nb = cap_ann(ring, a), cap_ann(ring, b)
-    return not (na & nb) and na | nb == ring.zero_divisors_nonzero
+    """{a, b} is a total perfect code of Gamma(R), read off the annihilator
+    classes: a and b are distinct vertices with ab = 0, so each lies in the
+    other's neighbourhood N(x) = ann(x) - {0, x} and not in its own, and
+    every other vertex lies in exactly one of N(a) and N(b), which a vertex
+    v does exactly when one of a's and b's classes annihilates v's."""
+    cls, zero = ring.classes
+    if a == b or not (0 < a < ring.order and 0 < b < ring.order) or not zero[cls[a], cls[b]]:
+        return False
+    others = ring.class_sizes[0].copy()
+    others[cls[a]] -= 1
+    others[cls[b]] -= 1
+    rest = _vertex_classes(ring) & (others > 0)
+    return bool((zero[cls[a]] != zero[cls[b]])[rest].all())
 
 
 def _route(ring: FiniteRing, decider_id: str, admits: bool, witness=None) -> DeciderResult:
@@ -182,15 +195,16 @@ def is_exceptional_local_fingerprint(ring: FiniteRing) -> bool:
     other vertex x; so the last condition says |ann(m)| = 2.  Order 16 and
     no |ann(x)| = 2 alone also pass the rings with residue field F4 (Gamma
     is K3) and F2[x,y]/(x^3, xy, y^2) (ann(m) = {0, x^2, y, x^2 + y}),
-    whose graphs have no cut vertex.  ann(m) is read off the vertices'
-    annihilators, ann(0) being all of R; no graph is built.
+    whose graphs have no cut vertex.  Every count is read off the
+    annihilator classes, ann(m) being the classes that every vertex class
+    annihilates (0's class has |ann| = 16); no graph is built.
     """
-    zdivs = ring.zero_divisors_nonzero
-    if ring.order != 16 or not ring.is_local or len(zdivs) != 7:
+    if ring.order != 16 or not ring.is_local or ring.num_zero_divisors != 7:
         return False
-    if any(len(ring.annihilator(x)) == 2 for x in zdivs):
+    size, ann = ring.class_sizes
+    if (ann == 2).any():
         return False
-    return len(frozenset.intersection(*(ring.annihilator(x) for x in zdivs))) == 2
+    return int(size[ring.classes[1][_vertex_classes(ring)].all(axis=0)].sum()) == 2
 
 
 @dataclass(frozen=True)
@@ -235,7 +249,7 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
         # "z is not a degree-one vertex"; the two differ exactly when
         # z^2 = 0 puts z inside its own annihilator (Z9's vertices), and
         # only the degree reading is sound, so that is what is checked
-        heavy = sorted(x for x in code if len(cap_ann(ring, x)) >= 2)
+        heavy = sorted(z.elements[v] for v in z.code_pair if z.graph.degree(v) >= 2)
         ok = all(x in art for x in heavy)
         detail = f"non-degree-one code members: {[ring.element_name(x) for x in heavy]}"
         checks.append(("code-members-with-big-ann-are-cut", ok, detail))
@@ -244,7 +258,7 @@ def cut_vertex_report(ring: FiniteRing, z: ZdGraph | None = None) -> CutVertexRe
 
     exceptional = is_exceptional_local_fingerprint(ring)
     if z.graph.n >= 3:
-        has_small_ann = any(len(ring.annihilator(x)) == 2 for x in ring.zero_divisors_nonzero)
+        has_small_ann = bool((ring.class_sizes[1] == 2).any())  # 0's |ann| is the order
         expected = has_small_ann or exceptional
         ok = bool(art) == expected
         checks.append(
@@ -310,27 +324,30 @@ def mixed_decider(local_factors, field_factors, graph: ZdGraph | None = None) ->
     witness = head = None
     if local:
         ring, route_id = locals_[0], "ann-pair-structural"
-        zdivs = sorted(ring.zero_divisors_nonzero)
-        if len(zdivs) == 2 and ring.mul(*zdivs) == 0:
-            witness = frozenset(zdivs)
-        elif len(zdivs) >= 2:
-            x = next((x for x in zdivs if len(ring.annihilator(x)) == 2), None)
-            if x is not None:
-                (y,) = ring.annihilator(x) - {0}
-                witness = frozenset({x, y})
+        cls, zero = ring.classes
+        ann = ring.class_sizes[1]
+        if ring.num_zero_divisors == 2:  # |m| = 3 forces m^2 = 0: one edge
+            witness = frozenset(np.flatnonzero(_vertex_classes(ring)[cls]).tolist())
+        elif ring.num_zero_divisors > 2 and (ann == 2).any():
+            # ann(x) = {0, y}: x's class annihilates 0's and y's, of one member
+            x = _least_member(ring, ann == 2)
+            partner = zero[cls[x]].copy()
+            partner[cls[0]] = False
+            witness = frozenset({x, _least_member(ring, partner)})
     else:
         ring = make_product(locals_ + fields_)
         route_id = "artinian-case" if m else "field-count"
         if (m, n) == (0, 2):
             head = fields_[0].one
-        elif (m, n) == (1, 1) and len(locals_[0].zero_divisors_nonzero) == 1:
-            (head,) = locals_[0].zero_divisors_nonzero
+        elif (m, n) == (1, 1) and locals_[0].num_zero_divisors == 1:
+            head = _least_member(locals_[0], _vertex_classes(locals_[0]))
     if head is not None:
         witness = frozenset(
             {product_encode(ring, (head, 0)), product_encode(ring, (0, fields_[-1].one))}
         )
-    if witness is not None:
-        assert is_code_pair(ring, *witness)
+    if witness is not None and not is_code_pair(ring, *witness):
+        names = sorted(ring.element_name(x) for x in witness)
+        raise RingError(f"structural witness {names} is not a total perfect code of {ring.name}")
     z = graph if graph is not None else zero_divisor_graph(ring)
     pair = tpc_pair_solver(z)
     results = [_route(ring, route_id, witness is not None, witness)]
@@ -429,10 +446,6 @@ def _star(r: FiniteRing, reading: str) -> int:
     raise ValueError(f"unknown star reading {reading!r}")
 
 
-def _zstar(r: FiniteRing) -> int:
-    return len(r.zero_divisors_nonzero)
-
-
 def reference_formula(form: str, locals_, fields_, reading: str, emended: bool = False) -> int:
     """The stated closed form for one product shape under one reading of
     the star (|X*| as nonzero elements or as units).  For R1xR2xF the
@@ -441,7 +454,7 @@ def reference_formula(form: str, locals_, fields_, reading: str, emended: bool =
     pattern, its literal ones being internally inconsistent.
     """
     s = lambda r: _star(r, reading)
-    z = _zstar
+    z = lambda r: r.num_zero_divisors
     if form == "R1xF":
         (r1,), (f,) = locals_, fields_
         return s(r1) + s(f) + z(r1) * s(f)

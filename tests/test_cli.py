@@ -43,6 +43,31 @@ def test_ring_info_reduced_product(capsys):
     assert obj["reduced"] is True and obj["order"] == 4
 
 
+RING_INFO = Path(__file__).parent / "data" / "ring_info"
+#: ring-info outputs recorded while units, Z* and annihilators were still
+#: element sets; the class-view counts must reproduce them byte for byte
+RING_INFO_RINGS = {
+    "Z12": "z12",
+    "Z9": "z9",
+    "F9": "f9",
+    "Z2 x Z8": "z2_x_z8",
+    "Z4 x Z4 x Z4": "z4_x_z4_x_z4",
+    "Z3[x]/(x^2)": "z3x_x2",
+    "Z6[x]/(x^2)": "z6x_x2",
+    "@Z4X-X2": "z4x_x2",
+    "@Z2XY-RAD2 x F4": "z2xy_rad2_x_f4",
+}
+
+
+@pytest.mark.parametrize("options", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("ring", sorted(RING_INFO_RINGS))
+def test_ring_info_is_byte_identical(capsys, ring, options):
+    code, out, _ = run(capsys, "ring-info", ring, *options)
+    suffix = "json" if options else "txt"
+    assert code == 0
+    assert out == (RING_INFO / f"{RING_INFO_RINGS[ring]}.{suffix}").read_text(encoding="utf-8")
+
+
 def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "ring-info", "Zx")
     assert code == 1 and "error" in err

@@ -32,6 +32,39 @@ def brute_zero_divisors(ring):
     return frozenset(out)
 
 
+def view_units(ring):
+    """The units as the class view marks them: the x whose class has |ann| = 1."""
+    return frozenset(np.flatnonzero(ring.class_sizes[1][ring.classes[0]] == 1).tolist())
+
+
+def view_zero_divisors(ring):
+    """Z*(R) as the class view marks it: the nonzero non-units."""
+    return frozenset(range(1, ring.order)) - view_units(ring)
+
+
+def brute_structure(ring, mul):
+    """Units, |ann(x)| per element, field and reduced, by brute force over
+    the whole multiplication table `mul`: x is nilpotent exactly when
+    x^(2^k) = 0 for 2^k >= order."""
+    units = frozenset(np.flatnonzero((mul == ring.one).any(axis=1)).tolist())
+    power = np.arange(ring.order)
+    for _ in range(ring.order.bit_length()):
+        power = mul[power, power]
+    reduced = not (power[1:] == 0).any()
+    return units, (mul == 0).sum(axis=1), len(units) == ring.order - 1, reduced
+
+
+def check_structure(ring, mul):
+    """The class view's unit flags, |Z*|, |ann(x)| per element, is_field and
+    is_reduced agree with the brute force over `mul`."""
+    units, ann, field, reduced = brute_structure(ring, mul)
+    assert view_units(ring) == units
+    assert ring.num_units == len(units)
+    assert ring.num_zero_divisors == len(ring.scan_zero_divisors()) == ring.order - 1 - len(units)
+    assert np.array_equal(ring.class_sizes[1][ring.classes[0]], ann)
+    assert (ring.is_field, ring.is_reduced) == (field, reduced)
+
+
 def test_is_prime_and_factorize():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
@@ -40,16 +73,18 @@ def test_is_prime_and_factorize():
 
 def test_zn_units_against_gcd():
     for n in (6, 12, 16, 30):
-        assert make_zn(n).units == gcd_units(n)
-    assert sorted(make_zn(12).units) == [1, 5, 7, 11]
+        assert view_units(make_zn(n)) == gcd_units(n)
+        assert make_zn(n).num_units == len(gcd_units(n))
+    assert sorted(view_units(make_zn(12))) == [1, 5, 7, 11]
 
 
 def test_zn_zero_divisors():
-    assert make_zn(2).zero_divisors_nonzero == frozenset()
-    assert sorted(make_zn(9).zero_divisors_nonzero) == [3, 6]
-    assert sorted(make_zn(12).zero_divisors_nonzero) == [2, 3, 4, 6, 8, 9, 10]
+    assert view_zero_divisors(make_zn(2)) == frozenset()
+    assert sorted(view_zero_divisors(make_zn(9))) == [3, 6]
+    assert sorted(view_zero_divisors(make_zn(12))) == [2, 3, 4, 6, 8, 9, 10]
     for n in (8, 12, 18):
-        assert make_zn(n).zero_divisors_nonzero == brute_zero_divisors(make_zn(n))
+        assert view_zero_divisors(make_zn(n)) == brute_zero_divisors(make_zn(n))
+        assert make_zn(n).num_zero_divisors == len(brute_zero_divisors(make_zn(n)))
 
 
 def test_zn_bounds():
@@ -62,9 +97,9 @@ def test_zn_bounds():
 def test_gf_small_fields():
     f4 = make_gf(2, 2)
     assert f4.order == 4 and f4.is_field
-    assert all(x in f4.units for x in range(1, 4))
+    assert view_units(f4) == {1, 2, 3}
     f9 = make_gf(3, 2)
-    assert f9.order == 9 and f9.zero_divisors_nonzero == frozenset()
+    assert f9.order == 9 and f9.num_zero_divisors == 0
     assert make_gf(2, 1).name == "Z2"
     with pytest.raises(RingError):
         make_gf(4, 1)
@@ -82,10 +117,10 @@ def test_gf_modulus_choice_is_deterministic():
 def test_quotient_rings():
     q = make_quotient(3, (0, 0, 1))
     assert q.order == 9
-    assert sorted(q.zero_divisors_nonzero) == [3, 6]
+    assert sorted(view_zero_divisors(q)) == [3, 6]
     assert [q.element_name(i) for i in (3, 6)] == ["x", "2x"]
     q2 = make_quotient(2, (0, 0, 1))
-    assert sorted(q2.zero_divisors_nonzero) == [2]  # only x
+    assert sorted(view_zero_divisors(q2)) == [2]  # only x
     assert make_quotient(4, (0, 0, 1)).order == 16
     with pytest.raises(RingError, match="monic"):
         make_quotient(4, (0, 0, 3))
@@ -96,9 +131,9 @@ def test_quotient_rings():
 def test_product_rings():
     pr = make_product([make_zn(2), make_zn(8)])
     assert pr.order == 16
-    assert len(pr.zero_divisors_nonzero) == 11
-    assert len(make_product([make_zn(2), make_zn(2)]).zero_divisors_nonzero) == 2
-    assert len(make_product([make_zn(4), make_zn(4)]).zero_divisors_nonzero) == 11
+    assert pr.num_zero_divisors == 11
+    assert make_product([make_zn(2), make_zn(2)]).num_zero_divisors == 2
+    assert make_product([make_zn(4), make_zn(4)]).num_zero_divisors == 11
     assert pr.element_name(pr.one) == "(1,1)"
     with pytest.raises(RingError):
         make_product([])
@@ -107,10 +142,11 @@ def test_product_rings():
 
 
 def test_annihilators():
-    z12 = make_zn(12)
-    assert z12.annihilator(4) == {0, 3, 6, 9}
-    assert z12.annihilator(0) == frozenset(range(12))
-    assert make_zn(16).annihilator(2) == {0, 8}
+    z12, all12 = make_zn(12), np.arange(12)
+    assert np.flatnonzero(class_zero_products(z12, [4], all12)).tolist() == [0, 3, 6, 9]
+    assert class_zero_products(z12, [0], all12).all()
+    assert np.flatnonzero(class_zero_products(make_zn(16), [2], np.arange(16))).tolist() == [0, 8]
+    assert z12.class_sizes[1][z12.classes[0][[4, 0, 1]]].tolist() == [4, 12, 1]
 
 
 @pytest.mark.parametrize(
@@ -121,13 +157,30 @@ def test_annihilators():
 )
 def test_ring_partition_and_annihilator_properties(ring):
     # units, nonzero zero-divisors and zero partition the ring
-    assert len(ring.units) + len(ring.zero_divisors_nonzero) + 1 == ring.order
-    assert ring.zero_divisors_nonzero == ring.scan_zero_divisors()
-    assert ring.units.isdisjoint(ring.zero_divisors_nonzero)
-    for x in range(ring.order):
-        ann = ring.annihilator(x)
-        assert 0 in ann
-        assert (x in ann) == (ring.mul(x, x) == 0)
+    assert view_zero_divisors(ring) == ring.scan_zero_divisors()
+    idx = np.arange(ring.order)
+    mul = ring.vec_mul(idx[:, None], idx[None, :])
+    check_structure(ring, mul)
+    zero = class_zero_products(ring, idx)
+    assert np.array_equal(zero, mul == 0)
+    assert zero[:, 0].all()
+    assert np.array_equal(np.diagonal(zero), mul[idx, idx] == 0)
+
+
+def test_class_sizes_make_no_integer_copy_of_the_class_matrix():
+    # Z2^11's 2,048 classes: |ann| sums class sizes along each zero row, and
+    # an integer copy of that bool matrix would be eight times its size
+    import tracemalloc
+
+    ring = make_product([make_zn(2)] * 11)
+    zero = ring.classes[1]
+    tracemalloc.start()
+    try:
+        assert (ring.num_units, ring.num_zero_divisors) == (1, 2046)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * zero.nbytes
 
 
 def test_structure_flags():
@@ -253,28 +306,24 @@ def brute_twin(ring):
     )
 
 
-def class_zero_products(ring, xs):
-    """x*y == 0 over the elements xs, both ways, read off the class view."""
+def class_zero_products(ring, xs, ys=None):
+    """x*y == 0 for x in xs and y in ys (xs again by default), read off the
+    class view."""
     cls, zero = ring.classes
-    return zero[np.ix_(cls[xs], cls[xs])]
+    return zero[np.ix_(cls[xs], cls[xs if ys is None else ys])]
 
 
-def check_zn_closed_forms(n, elements=None, subset=None):
-    """Units, Z*, the local test, the annihilators of `elements` (all of Z_n
-    by default) and the zero products over `subset` (a seeded draw by
-    default) agree with the brute force."""
+def check_zn_closed_forms(n, elements=None):
+    """Units, Z*, |ann| per element, the field, reduced and local tests, and
+    the zero products of `elements` (all of Z_n by default) with every
+    element agree with the brute force."""
     ring, twin = make_zn(n), brute_twin(make_zn(n))
     table = twin._table
-    assert ring.units == frozenset(np.flatnonzero((table == twin.one).any(axis=1)).tolist())
-    assert ring.zero_divisors_nonzero == ring.scan_zero_divisors() == twin.zero_divisors_nonzero
+    check_structure(ring, table)
+    assert view_zero_divisors(ring) == ring.scan_zero_divisors() == view_zero_divisors(twin)
     assert ring.is_local == twin.is_local == (len(factorize(n)) == 1)
-    for x in range(n) if elements is None else elements:
-        assert ring.annihilator(x) == frozenset(np.flatnonzero(table[x] == 0).tolist()), x
-    if subset is None:
-        rng = np.random.default_rng(n)
-        subset = rng.choice(n, size=rng.integers(1, min(n, 64) + 1), replace=False)
-    xs = np.asarray(subset, dtype=np.int64)
-    assert np.array_equal(class_zero_products(ring, xs), twin.vec_mul(xs[:, None], xs[None, :]) == 0)
+    xs = np.arange(n) if elements is None else np.asarray(elements, dtype=np.int64)
+    assert np.array_equal(class_zero_products(ring, xs, np.arange(n)), table[xs] == 0)
 
 
 @pytest.mark.parametrize("cap", ["0", "256"])
@@ -295,9 +344,8 @@ PRIME_POWERS = [p**k for p in (2, 3, 5, 7, 11, 13, 61) for k in range(1, 13) if 
 )
 def test_zn_closed_forms_match_brute_force_up_to_4096(n, data):
     elems = st.integers(0, n - 1)
-    elements = data.draw(st.lists(elems, min_size=1, max_size=16), label="annihilators")
-    subset = data.draw(st.lists(elems, min_size=1, max_size=128), label="zero products")
-    check_zn_closed_forms(n, elements, subset)
+    elements = data.draw(st.lists(elems, min_size=1, max_size=128), label="zero products")
+    check_zn_closed_forms(n, elements)
 
 
 # -- quotient rings against brute force from their raw closures ------------------
@@ -307,7 +355,7 @@ def nonunits_closed_under_addition(ring):
     """The sum-closure test for a local ring: with 0, the non-units of a
     finite commutative ring form its unique maximal ideal exactly when it is
     local."""
-    nonunits = np.array(sorted(set(range(ring.order)) - ring.units), dtype=np.int64)
+    nonunits = np.array(sorted(set(range(ring.order)) - view_units(ring)), dtype=np.int64)
     member = np.zeros(ring.order, dtype=bool)
     member[nonunits] = True
     return bool(member[ring.vec_add(nonunits[:, None], nonunits[None, :])].all())
@@ -328,17 +376,14 @@ def test_quotient_structure_matches_brute_force(ring):
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
     mul = ring._vec_mul(idx[:, None], idx[None, :])
-    units = frozenset(np.flatnonzero((mul == ring.one).any(axis=1)).tolist())
-    assert ring.units == units
-    assert ring.zero_divisors_nonzero == ring.scan_zero_divisors()
+    check_structure(ring, mul)
+    assert view_zero_divisors(ring) == ring.scan_zero_divisors()
     assert ring.is_local == nonunits_closed_under_addition(ring)
     power, nilpotent = idx.copy(), idx == 0
     for _ in range(n):
         power = mul[power, idx]
         nilpotent |= power == 0
     assert ring.is_reduced == (not nilpotent[1:].any())
-    for x in range(n):
-        assert ring.annihilator(x) == frozenset(np.flatnonzero(mul[x] == 0).tolist()), x
     assert np.array_equal(class_zero_products(ring, idx), mul == 0)
 
 

@@ -379,6 +379,17 @@ def test_corona_family():
         corona_family(3, 4)
 
 
+def test_constructions_raise_when_their_check_fails(monkeypatch):
+    # the checks are raises, not asserts, so they also run under python -O
+    monkeypatch.setattr(trees, "is_total_perfect_code", lambda g, code: False)
+    for build in (lambda: caterpillar_outer(0), lambda: caterpillar_inner(1)):
+        with pytest.raises(RuntimeError, match="not a total perfect code"):
+            build()
+    monkeypatch.setattr(trees, "tree_tpc", lambda t, force_include=None: None)
+    with pytest.raises(trees.FamilyTraceFinding, match="starting path of length 4"):
+        trees.generate_family_T(4, [])
+
+
 def test_caterpillars():
     g, code = caterpillar_outer(0)
     assert g.n == 8 and code == {0, 1, 4, 5}

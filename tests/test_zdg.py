@@ -14,7 +14,6 @@ from zdcodes.rings import RingError, make_gf, make_product, make_quotient, make_
 from zdcodes.tpc import find_tpc
 from zdcodes.zdg import (
     artinian_split,
-    cap_ann,
     count_zero_divisors,
     cut_vertex_report,
     degree_one_vertices,
@@ -26,7 +25,7 @@ from zdcodes.zdg import (
 
 
 def brute_edges(ring):
-    zs = sorted(ring.zero_divisors_nonzero)
+    zs = sorted(ring.scan_zero_divisors())
     return {
         (x, y) for i, x in enumerate(zs) for y in zs[i + 1 :] if ring.mul(x, y) == 0
     }
@@ -123,7 +122,7 @@ def test_class_view_matches_multiplication_rows(ring):
 def test_mask_built_gamma_matches_validating_constructor(ring):
     z = zero_divisor_graph(ring)
     elems = np.array(z.elements, dtype=np.int64)
-    assert list(elems) == sorted(ring.zero_divisors_nonzero)
+    assert list(elems) == sorted(ring.scan_zero_divisors())
     adj = ring.vec_mul(elems[:, None], elems[None, :]) == 0
     labels = LazyLabels(len(elems), lambda i: ring.element_name(int(elems[i])))
     ref = Graph(len(elems), zip(*np.nonzero(np.triu(adj, 1))), labels, name=f"Gamma({ring.name})")
@@ -213,7 +212,7 @@ def test_twin_classes_that_share_a_mask_are_refused():
 
 
 def test_gamma_is_read_off_the_class_view_alone(monkeypatch):
-    # no element-level detour: no hashed twin map, no Z*(R) or unit set
+    # no element-level detour: no hashed twin map, no scan for Z*(R)
     from zdcodes import graphs
     from zdcodes.rings import FiniteRing
 
@@ -221,8 +220,7 @@ def test_gamma_is_read_off_the_class_view_alone(monkeypatch):
         raise AssertionError("element-level detour")
 
     monkeypatch.setattr(graphs, "twin_map", refuse)
-    for name in ("zero_divisors_nonzero", "units"):
-        monkeypatch.setattr(FiniteRing, name, property(refuse))
+    monkeypatch.setattr(FiniteRing, "scan_zero_divisors", refuse)
     table = tables.make_table_ring(tables.load_catalog_spec("Z4X-X2"))  # not the cached one
     rings = [make_zn(3600), make_product([make_zn(4), make_zn(8), make_gf(2, 2)])]
     rings += [make_quotient(4, (0, 2, 1)), table]
@@ -230,24 +228,6 @@ def test_gamma_is_read_off_the_class_view_alone(monkeypatch):
         z = zero_divisor_graph(ring)
         assert z.graph.n > 0 and z.graph.twins
         z.code_pair, z.least_code  # the sweep and the search read that twin map
-
-
-def test_cap_ann():
-    assert cap_ann(make_zn(12), 2) == {6}
-    assert cap_ann(make_zn(16), 8) == {2, 4, 6, 10, 12, 14}
-    assert cap_ann(make_zn(9), 3) == {6}
-    with pytest.raises(RingError):
-        cap_ann(make_zn(12), 5)  # a unit
-
-
-def test_cap_ann_is_adjacency_and_symmetric():
-    for ring in (make_zn(12), make_zn(16), make_product([make_zn(2), make_zn(8)])):
-        z = zero_divisor_graph(ring)
-        for v, x in enumerate(z.elements):
-            nb = {z.elements[w] for w in bits(z.graph.neighbor_masks[v])}
-            assert cap_ann(ring, x) == nb
-            for y in nb:
-                assert x in cap_ann(ring, y)
 
 
 def test_pair_solver():
@@ -398,7 +378,8 @@ def test_fingerprint_rejects_order16_rings_without_cut_vertex(build):
     # local of order 16 with no |ann(x)| = 2, but 3 vertices adjacent to all others
     ring = build()
     assert ring.order == 16 and ring.is_local
-    assert not any(len(ring.annihilator(x)) == 2 for x in ring.zero_divisors_nonzero)
+    idx = np.arange(16)
+    assert 2 not in (ring.vec_mul(idx[:, None], idx[None, :]) == 0).sum(axis=1)
     assert not is_exceptional_local_fingerprint(ring)
     rep = cut_vertex_report(ring)
     assert not rep.articulation_elements and not rep.findings
@@ -428,6 +409,45 @@ def test_mixed_decider_cases():
     assert not v.admits and not v.discrepancy
     v = mixed_decider([tables.catalog_ring("Z2XY-RAD2")], [make_zn(2)])
     assert not v.admits and not v.discrepancy
+
+
+def test_code_pair_refuses_non_vertices_and_repeats():
+    z12 = make_zn(12)
+    assert zdg.is_code_pair(z12, 4, 6) and zdg.is_code_pair(z12, 6, 4)
+    assert not zdg.is_code_pair(z12, 6, 6)  # one vertex, however it squares
+    assert not zdg.is_code_pair(z12, 0, 6) and not zdg.is_code_pair(z12, 5, 6)  # 0, a unit
+    assert not zdg.is_code_pair(z12, 2, 3)  # not adjacent
+    assert not zdg.is_code_pair(z12, 2, 6)  # adjacent, but 3 is covered by neither
+    assert zdg.is_code_pair(make_zn(9), 3, 6)  # x^2 = 0 in both classes
+
+
+@pytest.mark.parametrize(
+    "locals_, fields_",
+    [([make_zn(16)], []), ([make_zn(9)], []), ([], [make_zn(2), make_zn(3)]),
+     ([make_zn(4)], [make_zn(2)])],
+    ids=["ann-2", "two-vertex", "two-fields", "local-field"],
+)
+def test_mixed_decider_raises_on_a_refuted_witness(monkeypatch, locals_, fields_):
+    # the witness check is a raise, not an assert, so it also runs under -O
+    monkeypatch.setattr(zdg, "is_code_pair", lambda ring, a, b: False)
+    with pytest.raises(RingError, match="not a total perfect code"):
+        mixed_decider(locals_, fields_)
+
+
+def test_no_check_in_the_package_is_an_assert():
+    # python -O strips assert statements, and with them any check they make
+    import ast
+    from pathlib import Path
+
+    import zdcodes
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(zdcodes.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_mixed_decider_delegation_and_errors():
