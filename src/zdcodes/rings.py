@@ -12,21 +12,19 @@ quotient of degree d is the structure-constant ring on Z_m^d over the
 basis x^(d-1), ..., x, 1, so an element's index is its coefficient list
 read as base-m digits, constant term least significant.
 
-A product's arithmetic applies each factor's own; every other ring but
-Z_n (quotient, GF, table) builds one multiplication table on first use,
-row chunk by row chunk, and multiplies by reading it.
+A product's arithmetic applies each factor's own; every ring multiplies
+through its own `vec_mul`, and none keeps a multiplication table.
 
 Elements with one annihilator are twins in Gamma(R), so each ring's
 structure is one view of its annihilator classes, `FiniteRing.classes`:
 each element's class and which pairs of classes multiply to zero.  The
 ring's kind decides only how that view is computed (Z_n from gcd(x, n), a
-product from its factors' views, any other ring from its table).  Every
-structural count reads it: the class sizes give |ann(x)|, the unit count
-and |Z*(R)| (the nonzero non-units), R is a field exactly when it has two
-classes and reduced exactly when no nonzero class squares to zero, and
-Gamma(R) is built from it.  R is local exactly when it has two
-idempotents; that test still multiplies each element by itself, although
-the view could answer it too (ann(Z(R)) != 0).
+product from its factors' views, any other ring from its multiplication
+rows, a chunk at a time).  Every structural fact reads it: the class sizes
+give |ann(x)|, the unit count and |Z*(R)| (the nonzero non-units), R is a
+field exactly when it has two classes, reduced exactly when no nonzero
+class squares to zero and local exactly when ann(Z(R)) != 0, and Gamma(R)
+is built from it.
 """
 
 from __future__ import annotations
@@ -113,9 +111,7 @@ class FiniteRing:
         return self._vec_add(np.asarray(i, np.int64), np.asarray(j, np.int64))
 
     def vec_mul(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
-        table = self._table
-        return self._vec_mul(i, j) if table is None else table[i, j]
+        return self._vec_mul(np.asarray(i, np.int64), np.asarray(j, np.int64))
 
     def add(self, x: int, y: int) -> int:
         return int(self.vec_add(np.int64(x), np.int64(y)))
@@ -123,26 +119,17 @@ class FiniteRing:
     def mul(self, x: int, y: int) -> int:
         return int(self.vec_mul(np.int64(x), np.int64(y)))
 
-    @cached_property
-    def _table(self) -> np.ndarray | None:
-        """The multiplication table that every ring but Z_n and a product
-        reads; those two multiply in closed form or through their factors."""
-        if self.kind == "zn" or self.factors:
-            return None
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        for xs, rows in self._row_chunks(self._vec_mul):
-            table[xs[0] : xs[0] + len(xs)] = rows
-        return table
-
-    def _row_chunks(self, op: VecOp):
-        """(xs, op(x, y) for x in xs and every y) over row chunks small
-        enough that op's temporaries stay a sliver of the full table."""
+    def _row_chunks(self):
+        """(xs, x*y for x in xs and every y) over chunks of about 2^18
+        products, so that vec_mul's temporaries stay bounded at any order: a
+        quotient of degree k holds about 2^18·k int64 in each (42 MB at
+        peak for Z2[x]/(x^10))."""
         n = self.order
         idx = np.arange(n, dtype=np.int64)
         step = max(1, (1 << 18) // n)
         for s in range(0, n, step):
             xs = idx[s : s + step]
-            yield xs, op(xs[:, None], idx[None, :])
+            yield xs, self.vec_mul(xs[:, None], idx[None, :])
 
     # -- structure ----------------------------------------------------------
 
@@ -157,7 +144,7 @@ class FiniteRing:
         xy = 0 exactly when n divides gcd(x, n)·gcd(y, n).  A product's are
         the mixed-radix tuples of its factors' classes, and it zeroes a pair
         exactly when every factor does.  Any other ring's are the distinct
-        zero patterns of its table rows."""
+        zero patterns of its multiplication rows, packed chunk by chunk."""
         if self.kind == "zn":
             n = self.order
             divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
@@ -172,10 +159,15 @@ class FiniteRing:
                 zero = (zero[:, None, :, None] & f_zero[None, :, None, :]).reshape(k * j, k * j)
             return cls, zero
         ids: dict[bytes, int] = {}
-        packed = np.packbits(self._table == 0, axis=1)
-        cls = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in packed])
+        cls = np.empty(self.order, dtype=np.int64)
+        for xs, rows in self._row_chunks():
+            packed = np.packbits(rows == 0, axis=1)
+            cls[xs] = [ids.setdefault(row.tobytes(), len(ids)) for row in packed]
+        # the keys, in class order, are the packed zero rows of each class's
+        # first member, so the class matrix needs no second pass of products
+        keys = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(len(ids), -1)
         reps = np.unique(cls, return_index=True)[1]
-        return cls, self._table[np.ix_(reps, reps)] == 0
+        return cls, np.unpackbits(keys, axis=1, count=self.order)[:, reps].astype(bool)
 
     @cached_property
     def class_sizes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +195,7 @@ class FiniteRing:
     def scan_zero_divisors(self) -> frozenset[int]:
         """Z*(R) by brute force over the multiplication rows, for any ring."""
         hits: list[int] = []
-        for xs, rows in self._row_chunks(self.vec_mul):
+        for xs, rows in self._row_chunks():
             mask = (rows[:, 1:] == 0).any(axis=1) & (xs != 0)
             hits.extend(xs[mask].tolist())
         return frozenset(hits)
@@ -216,11 +208,14 @@ class FiniteRing:
 
     @cached_property
     def is_local(self) -> bool:
-        """Exactly two idempotents, 0 and 1.  A finite commutative ring is the
-        product of its local rings, one per primitive idempotent, so with k
-        local factors it has 2^k idempotents."""
-        idx = np.arange(self.order, dtype=np.int64)
-        return int((self.vec_mul(idx, idx) == idx).sum()) == 2
+        """ann(Z(R)) != 0: some nonzero class is annihilated by every class
+        of zero divisors, the classes with |ann| > 1.  In a finite local ring
+        the maximal ideal m = Z(R) is nilpotent, so if m^t = 0 != m^(t-1)
+        then m^(t-1) is a nonzero part of ann(m).  A finite ring that is not
+        local is a product R1 x R2, where (1,0) and (0,1) are zero divisors
+        and ann((1,0)) ∩ ann((0,1)) = 0."""
+        zero = self.classes[1]
+        return int(zero[:, self.class_sizes[1] > 1].all(axis=1).sum()) > 1
 
     @cached_property
     def is_reduced(self) -> bool:

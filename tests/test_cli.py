@@ -54,6 +54,8 @@ RING_INFO_RINGS = {
     "Z4 x Z4 x Z4": "z4_x_z4_x_z4",
     "Z3[x]/(x^2)": "z3x_x2",
     "Z6[x]/(x^2)": "z6x_x2",
+    "Z2[x]/(x^2+x)": "z2x_x2px",
+    "Z2[x]/(x^3+x)": "z2x_x3px",
     "@Z4X-X2": "z4x_x2",
     "@Z2XY-RAD2 x F4": "z2xy_rad2_x_f4",
 }

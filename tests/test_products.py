@@ -4,7 +4,8 @@ A product ring's structure (units, Z*, annihilator sizes, the local /
 field / reduced tests) and its zero-divisor graph come from the factors'
 class views.  Each is compared here with the brute force over the same
 product's multiplication table, read through a generic ring that only
-knows its `vec_add` / `vec_mul`; the local test is checked by sum closure.
+knows its `vec_add` / `vec_mul`; the local test is checked by sum closure
+and by the idempotent count.
 """
 
 import math
@@ -25,7 +26,10 @@ from zdcodes.rings import (
 )
 from zdcodes.zdg import zero_divisor_graph
 
-from test_rings import check_structure, class_zero_products, nonunits_closed_under_addition
+from test_rings import (
+    check_structure, class_zero_products, full_table, idempotent_count,
+    nonunits_closed_under_addition,
+)
 
 MAX_ORDER = 256
 
@@ -50,7 +54,7 @@ products = (
 
 def generic(ring: FiniteRing) -> FiniteRing:
     """The same ring with no factors: every structural query reads its
-    multiplication table."""
+    multiplication rows."""
     return FiniteRing(
         ring.order, ring.name, "generic", ring.vec_add, ring.vec_mul, ring.one, ring.element_name
     )
@@ -82,9 +86,11 @@ def test_factor_wise_structure_matches_brute_force(factors):
     ring = make_product(factors)
     brute = generic(ring)
     idx = np.arange(ring.order)
-    check_structure(ring, brute._table)
+    table = full_table(brute)
+    check_structure(ring, table)
     assert ring.is_local == nonunits_closed_under_addition(ring)
-    assert np.array_equal(class_zero_products(ring, idx), brute._table == 0)
+    assert ring.is_local == (idempotent_count(ring) == 2)
+    assert np.array_equal(class_zero_products(ring, idx), table == 0)
     z = zero_divisor_graph(ring)
     assert z.elements == tuple(sorted(brute.scan_zero_divisors()))
     assert element_edges(z) == brute_edges(brute)
@@ -107,7 +113,7 @@ def test_table_gather_matches_per_factor_arithmetic(factors, seed):
 def test_factor_above_256_elements_matches_brute_force():
     ring = make_product([make_zn(2), make_quotient(2, (0,) * 9 + (1,))])
     brute = generic(ring)
-    check_structure(ring, brute._table)
+    check_structure(ring, full_table(brute))
     z = zero_divisor_graph(ring)
     assert z.elements == tuple(sorted(brute.scan_zero_divisors()))
     assert element_edges(z) == brute_edges(brute)

@@ -54,6 +54,21 @@ def brute_structure(ring, mul):
     return units, (mul == 0).sum(axis=1), len(units) == ring.order - 1, reduced
 
 
+def full_table(ring):
+    """The whole multiplication table from the ring's raw closure: the
+    brute-force reference the class view is held to."""
+    idx = np.arange(ring.order, dtype=np.int64)
+    return ring._vec_mul(idx[:, None], idx[None, :])
+
+
+def idempotent_count(ring):
+    """The number of x with x^2 = x: the element-wise reference for the
+    class view's local test, since a finite commutative ring with k local
+    factors has 2^k idempotents."""
+    idx = np.arange(ring.order, dtype=np.int64)
+    return int((ring.vec_mul(idx, idx) == idx).sum())
+
+
 def check_structure(ring, mul):
     """The class view's unit flags, |Z*|, |ann(x)| per element, is_field and
     is_reduced agree with the brute force over `mul`."""
@@ -183,6 +198,21 @@ def test_class_sizes_make_no_integer_copy_of_the_class_matrix():
     assert peak < 0.1 * zero.nbytes
 
 
+def test_structure_queries_keep_no_multiplication_table():
+    # order 1,024: a kept int64 table would hold 8 MB after the queries
+    import tracemalloc
+
+    ring = make_quotient(2, (0,) * 10 + (1,))
+    tracemalloc.start()
+    try:
+        assert len(ring.class_sizes[0]) == 11  # the classes of 0, 1, x, ..., x^9
+        assert ring.is_local and not ring.is_field and not ring.is_reduced
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * ring.order**2 * 8
+
+
 def test_structure_flags():
     assert make_zn(8).is_local and not make_zn(8).is_reduced
     assert not make_zn(12).is_local
@@ -268,15 +298,12 @@ def test_crt_bijection_preserves_operations(a, b):
 
 
 def test_table_cache_respects_cap(monkeypatch):
-    # the table-cache cap is deleted: a leftover setting is ignored and the
-    # ring's kind alone decides whether it reads a multiplication table
+    # the table-cache cap is deleted: a leftover setting is ignored, and
+    # every ring multiplies through its own arithmetic at any order
     monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "8")
-    small, big = make_zn(8), make_zn(9)
-    assert small._table is None and big._table is None
-    assert big.mul(3, 6) == 0  # Z_n arithmetic needs no table
+    assert make_zn(9).mul(3, 6) == 0
     small, big = make_quotient(2, (0, 0, 1)), make_quotient(2, (0,) * 9 + (1,))
     assert small.mul(2, 2) == 0 and big.mul(256, 2) == 0
-    assert small._table is not None and big._table is not None
 
 
 def test_poly_name():
@@ -300,7 +327,7 @@ def test_element_names():
 
 def brute_twin(ring):
     """A ring on the same arithmetic that is not marked Z_n, so every
-    structure query reads its brute-forced multiplication table."""
+    structure query reads its multiplication rows."""
     return rings.FiniteRing(
         ring.order, ring.name, "brute", ring._vec_add, ring._vec_mul, ring.one, str
     )
@@ -318,10 +345,11 @@ def check_zn_closed_forms(n, elements=None):
     the zero products of `elements` (all of Z_n by default) with every
     element agree with the brute force."""
     ring, twin = make_zn(n), brute_twin(make_zn(n))
-    table = twin._table
+    table = full_table(twin)
     check_structure(ring, table)
     assert view_zero_divisors(ring) == ring.scan_zero_divisors() == view_zero_divisors(twin)
     assert ring.is_local == twin.is_local == (len(factorize(n)) == 1)
+    assert ring.is_local == (idempotent_count(ring) == 2)
     xs = np.arange(n) if elements is None else np.asarray(elements, dtype=np.int64)
     assert np.array_equal(class_zero_products(ring, xs, np.arange(n)), table[xs] == 0)
 
@@ -375,10 +403,11 @@ def test_quotient_structure_matches_brute_force(ring):
     assert first_failing_law(ring) is None
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
-    mul = ring._vec_mul(idx[:, None], idx[None, :])
+    mul = full_table(ring)
     check_structure(ring, mul)
     assert view_zero_divisors(ring) == ring.scan_zero_divisors()
     assert ring.is_local == nonunits_closed_under_addition(ring)
+    assert ring.is_local == (idempotent_count(ring) == 2)
     power, nilpotent = idx.copy(), idx == 0
     for _ in range(n):
         power = mul[power, idx]

@@ -13,7 +13,7 @@ from zdcodes.rings import (
 )
 from zdcodes.tables import TableRingError, TableRingSpec, catalog_ring, make_table_ring
 
-from test_rings import first_failing_law
+from test_rings import first_failing_law, idempotent_count
 
 
 def brute_ann_sizes(ring):
@@ -28,6 +28,7 @@ def test_catalog_loads_and_validates():
     for slug in tables.catalog_names():
         ring = catalog_ring(slug)
         assert ring.is_local and not ring.is_reduced
+        assert idempotent_count(ring) == 2
 
 
 def test_exceptional_seven_shape():
