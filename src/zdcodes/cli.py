@@ -43,18 +43,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cap = config.read(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: bad settings: {exc}", file=sys.stderr)
-        return 1
-    config.set_override(cap)  # read once per call; cleared on return
-    try:
+        config.current()  # a bad cap is refused by every command, ring or not
         return args.func(args)
     except (ValueError, OSError) as exc:  # parse, ring and precondition errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        config.set_override(None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"{RING_GRAMMAR}\n\nenvironment overrides:\n{ENV_HELP}\n\n"
         "exit codes: 0 success/consensus, 1 usage or input error, 2 unexpected discrepancy",
     )
-    parser.add_argument("--config", help="JSON file with cap overrides", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -283,13 +275,15 @@ def cmd_verify(args) -> int:
             raise ValueError(f"verify: {flag} must be nonnegative, got {value}")
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     # sizes are refused before any suite runs: graphs by the vertex bound,
-    # rings by the ring cap in effect
+    # rings by the ring cap in effect, and the tree probe at 16 vertices,
+    # since it keeps every tree up to its bound (about 3x more per vertex)
     cap = config.current()
     upper = {
         "paths": ("--max-n", args.max_n, graphs.MAX_VERTICES, "vertex bound"),
         "cycles": ("--max-n", args.max_n, graphs.MAX_VERTICES, "vertex bound"),
         "zn-sweep": ("--max-n", args.max_n, cap, "ring cap"),
         "mixed-products": ("--max-order", args.max_order, cap, "ring cap"),
+        "trees": ("--probe-max", args.probe_max, 16, "probe bound"),
     }
     for name in names:
         if name in upper:

@@ -367,15 +367,10 @@ def mixed_catalog() -> tuple[list, list]:
     return locals_, _field_pool()
 
 
-_MIXED_POOLS: tuple[list, list] | None = None
-
-
+@functools.cache
 def _mixed_pools() -> tuple[list, list]:
-    # rebuilt lazily per process: ring objects carry closures and do not pickle
-    global _MIXED_POOLS
-    if _MIXED_POOLS is None:
-        _MIXED_POOLS = mixed_catalog()
-    return _MIXED_POOLS
+    # built lazily per process: ring objects carry closures and do not pickle
+    return mixed_catalog()
 
 
 def _mixed_instances(max_order: int):

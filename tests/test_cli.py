@@ -247,9 +247,10 @@ def test_negative_tree_counts_exit_1(capsys, argv):
         (("verify", "cycles", "--max-n", "100000000"), "--max-n 100000000 exceeds the vertex bound"),
         (("verify", "all", "--max-n", "99999999"), "exceeds the vertex bound 4096"),
         (("verify", "all", "--max-order", "5000"), "--max-order 5000 exceeds the ring cap 4096"),
+        (("verify", "trees", "--probe-max", "17"), "--probe-max 17 exceeds the probe bound 16"),
     ],
     ids=["zn-sweep", "zn-sweep-huge", "mixed-products", "paths", "cycles", "all-max-n",
-         "all-max-order"],
+         "all-max-order", "probe-max"],
 )
 def test_sizes_above_their_bound_exit_1_at_once(capsys, argv, named):
     start = time.perf_counter()
@@ -367,16 +368,6 @@ def test_catalog_listing(capsys):
     assert len(rows) == 8 and sum(r["exceptional"] for r in rows) == 7
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ring_cap": 10}))
-    code, _, err = run(capsys, "--config", str(cfg), "ring-info", "Z12")
-    assert code == 1 and "cap" in err
-    # the override is process-local and cleared once the command returns
-    code, _, _ = run(capsys, "ring-info", "Z12")
-    assert code == 0
-
-
 @pytest.mark.parametrize(
     "var, value, argv",
     [
@@ -386,6 +377,7 @@ def test_config_file(tmp_path, capsys):
         ("ZDCODES_RING_CAP", "\u0663", ("tpc-decide", "Z12")),
         ("ZDCODES_RING_CAP", "1_000", ("tpc-decide", "Z12")),
         ("ZDCODES_RING_CAP", " 5", ("tpc-decide", "Z12")),
+        ("ZDCODES_RING_CAP", "abc", ("tpc-decide", "path:4")),  # builds no ring
     ],
 )
 def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
@@ -395,15 +387,6 @@ def test_bad_environment_value_is_named(capsys, monkeypatch, var, value, argv):
     assert err.count("\n") == 1 and var in err and repr(value) in err
 
 
-@pytest.mark.parametrize("value", ["many", -3, 4.5, True, None, "\u0663", "1_000", " 5"])
-def test_bad_config_value_is_named(tmp_path, capsys, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ring_cap": value}))
-    code, out, err = run(capsys, "--config", str(cfg), "tpc-decide", "Z12")
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "'ring_cap'" in err and str(cfg) in err
-
-
 @pytest.mark.parametrize(
     "var, value", [("ZDCODES_SOLVER_BOUND", "2.5"), ("ZDCODES_ENUM_BOUND", "-1")]
 )
@@ -411,33 +394,6 @@ def test_deleted_bound_variables_are_ignored(capsys, monkeypatch, var, value):
     monkeypatch.setenv(var, value)
     code, out, err = run(capsys, "tpc-decide", "Z12")
     assert code == 0 and "consensus" in out and err == ""
-
-
-@pytest.mark.parametrize("text", ["5", "[1, 2]", "{not json", pytest.param(DEEP, id="deep")])
-def test_bad_config_file_is_named(tmp_path, capsys, text):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    code, out, err = run(capsys, "--config", str(cfg), "ring-info", "Z4")
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and str(cfg) in err
-
-
-def test_settings_are_read_once_per_call(capsys, monkeypatch):
-    from zdcodes import config
-
-    reads = []
-    real = config.read
-
-    def counting(path=None):
-        reads.append(path)
-        return real(path)
-
-    monkeypatch.setattr(config, "read", counting)
-    monkeypatch.setenv("ZDCODES_RING_CAP", "4000")
-    code, out, _ = run(capsys, "verify", "mixed-products", "--max-order", "16", "--jobs", "1")
-    assert code == 0 and "0 unexpected" in out
-    assert reads == [None]
-    assert config.current() == 4000  # the override is cleared again
 
 
 def test_suites_record_wall_time_when_called_directly():
@@ -776,19 +732,6 @@ def test_reused_parser_keeps_no_flags(capsys):
     assert code == 0 and json.loads(out)["witness"] == ["4", "6"]
     code, out, _ = run(capsys, "tpc-decide", "Z12")
     assert code == 0 and out.endswith("Z12: admits (consensus)\n") and not out.startswith("{")
-
-
-def test_reused_parser_keeps_no_config(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ring_cap": 10}))
-    code, _, err = run(capsys, "--config", str(cfg), "ring-info", "Z12")
-    assert code == 1 and "cap 10" in err
-    installed = []
-    real = config.set_override
-    monkeypatch.setattr(config, "set_override", lambda s: installed.append(s) or real(s))
-    code, out, _ = run(capsys, "ring-info", "Z12")
-    assert code == 0 and "order 12" in out
-    assert installed == [config.read(), None]
 
 
 @pytest.mark.parametrize("argv, recorded", [((), "zdcodes.txt"), (("tpc-decide",), "tpc-decide.txt")])

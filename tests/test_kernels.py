@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,48 +48,22 @@ def test_pair_sweep_matches_definition():
     assert kernels.pair_sweep([], twin_map([])) is None
 
 
-def test_config_env_and_file(monkeypatch, tmp_path):
-    monkeypatch.setenv("ZDCODES_RING_CAP", "99")
-    assert config.current() == 99
-    cfg = tmp_path / "s.json"
-    cfg.write_text('{"ring_cap": 64, "backend": "numpy"}')
-    assert config.read(str(cfg)) == 99  # the environment overrides the file
-    monkeypatch.delenv("ZDCODES_RING_CAP")
-    assert config.read(str(cfg)) == 64  # the stale backend key is ignored
-    with pytest.raises(OSError):
-        config.read(str(tmp_path / "missing.json"))
-    cfg.write_text('{"backend": "bogus"}')
-    assert config.read(str(cfg)) == config.read() == 4096
-
-
-def test_config_override(monkeypatch):
-    monkeypatch.delenv("ZDCODES_RING_CAP", raising=False)
-    config.set_override(7)
-    try:
-        assert config.current() == 7
-    finally:
-        config.set_override(None)
-    assert config.current() == 4096
-
-
-def test_deleted_search_bounds_are_ignored(monkeypatch, tmp_path):
+def test_deleted_search_bounds_are_ignored(monkeypatch):
     # the exact search, the enumeration and the ring tables no longer have bounds
     before = config.current()
     monkeypatch.setenv("ZDCODES_SOLVER_BOUND", "bogus")
     monkeypatch.setenv("ZDCODES_ENUM_BOUND", "-1")
     monkeypatch.setenv("ZDCODES_TABLE_CACHE_CAP", "-1")
     assert config.current() == before
-    cfg = tmp_path / "s.json"
-    cfg.write_text('{"solver_bound": "many", "enum_bound": 2.5, "table_cache_cap": 0}')
-    assert config.read(str(cfg)) == config.read()
 
 
 def test_env_vars_document_exactly_the_settings(monkeypatch):
     ((var, doc),) = config.ENV_VARS.items()  # the ring cap is the only setting
     monkeypatch.delenv(var, raising=False)
-    assert doc.endswith(f"(default {config.read()})")
+    assert config.current() == 4096
+    assert doc.endswith(f"(default {config.current()})")
     monkeypatch.setenv(var, "5")
-    assert config.read() == 5
+    assert config.current() == 5
 
 
 # -- the twin-pruned search the representative search replaced ---------------

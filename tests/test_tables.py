@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from zdcodes import config, tables
+from zdcodes import tables
 from zdcodes.rings import (
     FiniteRing, RingError, _mixed_encode, _quotient_products, bilinear_ops, make_quotient,
 )
@@ -64,15 +64,12 @@ def test_catalog_rings_are_built_once_per_process(monkeypatch):
         assert catalog_ring(slug.upper()) is ring
 
 
-def test_cached_catalog_rings_still_meet_the_cap():
+def test_cached_catalog_rings_still_meet_the_cap(monkeypatch):
     catalog_ring("Z4X-X2")
-    config.set_override(8)
-    try:
-        with pytest.raises(RingError, match="ring order 16 exceeds the cap 8"):
-            catalog_ring("Z4X-X2")
-        assert catalog_ring("Z2XY-RAD2").order == 8
-    finally:
-        config.set_override(None)
+    monkeypatch.setenv("ZDCODES_RING_CAP", "8")
+    with pytest.raises(RingError, match="ring order 16 exceeds the cap 8"):
+        catalog_ring("Z4X-X2")
+    assert catalog_ring("Z2XY-RAD2").order == 8
 
 
 def test_unknown_name_lists_known():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_rings import quotients
 
-from zdcodes import config, suites, tables, zdg
+from zdcodes import suites, tables, zdg
 from zdcodes.graphs import Graph, LazyLabels, bits, diameter, twin_map
 from zdcodes.ringexpr import ring_from_text
 from zdcodes.rings import RingError, make_gf, make_product, make_quotient, make_zn
@@ -49,16 +49,13 @@ def test_gamma_shapes():
     assert zero_divisor_graph(make_zn(7)).graph.n == 0
 
 
-def test_gamma_of_an_order_25200_product_builds_in_a_second():
+def test_gamma_of_an_order_25200_product_builds_in_a_second(monkeypatch):
     # 19,439 vertices in 90 annihilator classes: no |Z*| x |Z*| matrix
-    config.set_override(25200)
-    try:
-        ring = make_product([make_zn(k) for k in (16, 9, 25, 7)])
-        t0 = time.perf_counter()
-        z = zero_divisor_graph(ring)
-        assert time.perf_counter() - t0 < 1.0
-    finally:
-        config.set_override(None)
+    monkeypatch.setenv("ZDCODES_RING_CAP", "25200")
+    ring = make_product([make_zn(k) for k in (16, 9, 25, 7)])
+    t0 = time.perf_counter()
+    z = zero_divisor_graph(ring)
+    assert time.perf_counter() - t0 < 1.0
     assert z.graph.n == 25200 - 1 - 8 * 6 * 20 * 6
     elems = np.array(z.elements, dtype=np.int64)
     for v in (0, z.graph.n // 2, z.graph.n - 1):
@@ -66,24 +63,21 @@ def test_gamma_of_an_order_25200_product_builds_in_a_second():
         assert set(bits(z.graph.neighbor_masks[v])) == row
 
 
-def test_gamma_of_many_classes_copies_the_class_matrix_at_most_once():
+def test_gamma_of_many_classes_copies_the_class_matrix_at_most_once(monkeypatch):
     # Z2^11 has 2048 annihilator classes over 2046 vertices: one vertices x
     # classes gather, no further matrix of that size (classes x vertices
     # member bits, a contiguous copy of the gather)
     import tracemalloc
 
-    config.set_override(2 ** 11)
+    monkeypatch.setenv("ZDCODES_RING_CAP", str(2 ** 11))
+    ring = make_product([make_zn(2)] * 11)
+    zero = ring.classes[1]
+    tracemalloc.start()
     try:
-        ring = make_product([make_zn(2)] * 11)
-        zero = ring.classes[1]
-        tracemalloc.start()
-        try:
-            zero_divisor_graph(ring)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        zero_divisor_graph(ring)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        config.set_override(None)
+        tracemalloc.stop()
     assert peak < 1.5 * zero.nbytes
 
 
