@@ -48,6 +48,14 @@ def test_pair_sweep_matches_definition():
     assert kernels.pair_sweep([], twin_map([])) is None
 
 
+def test_config_env_and_file(monkeypatch):
+    # the cap has no settings file any more: the environment, else the default
+    monkeypatch.setenv("ZDCODES_RING_CAP", "99")
+    assert config.current() == 99
+    monkeypatch.delenv("ZDCODES_RING_CAP")
+    assert config.current() == 4096
+
+
 def test_deleted_search_bounds_are_ignored(monkeypatch):
     # the exact search, the enumeration and the ring tables no longer have bounds
     before = config.current()
